@@ -4,21 +4,23 @@
 //!
 //! This is a robustness gate, not a timing benchmark: `collect` *asserts*
 //! that every mutation of every format — `R2D2LAKE` v5, `R2D2SNAP` v5,
-//! `R2D2WAL` v5 and the graph codec — either decodes faithfully (proven by
-//! a re-encode round trip) or fails with a typed error. A panic or a
+//! `R2D2WAL` v5 and the graph codec, plus the checksum-re-stamped snapshot
+//! body, delta body and update payload — either decodes faithfully (proven
+//! by a re-encode round trip) or fails with a typed error. A panic or a
 //! silent misdecode anywhere fails the run.
 
 use crate::fuzz::{sweep_all, FormatOutcome};
 use crate::report::TextTable;
 
-/// Tallies of one full sweep across all four formats.
+/// Tallies of one full sweep across every format and body-level target.
 #[derive(Debug, Clone)]
 pub struct FuzzSweepSnapshot {
     /// Seed the mutation streams were derived from.
     pub seed: u64,
     /// Mutations evaluated per format.
     pub mutations_per_format: usize,
-    /// One tally per format, in sweep order (lake, snapshot, wal, graph).
+    /// One tally per format, in sweep order (lake, snapshot, wal, graph,
+    /// snapshot-body, delta-body, update).
     pub outcomes: Vec<FormatOutcome>,
 }
 
@@ -93,10 +95,21 @@ mod tests {
     #[test]
     fn smoke_sweep_is_clean_across_all_formats() {
         let snap = collect(true);
-        assert_eq!(snap.outcomes.len(), 4);
+        assert_eq!(snap.outcomes.len(), 7);
         assert_eq!(snap.mutations_per_format, 2_000);
         let formats: Vec<_> = snap.outcomes.iter().map(|o| o.format).collect();
-        assert_eq!(formats, ["lake", "snapshot", "wal", "graph"]);
+        assert_eq!(
+            formats,
+            [
+                "lake",
+                "snapshot",
+                "wal",
+                "graph",
+                "snapshot-body",
+                "delta-body",
+                "update"
+            ]
+        );
         for o in &snap.outcomes {
             // `collect` already asserted cleanliness; sanity-check the
             // tallies add up and the sweep actually rejected hostile bytes.

@@ -16,6 +16,13 @@
 //! * **misdecode** — `Ok` but the round-trip oracle failed,
 //! * **panic** — the decoder (or the oracle on its output) panicked.
 //!
+//! Whole-file mutations of a snapshot almost never get past its body
+//! checksum, so three more sweeps mutate only a body and re-stamp the
+//! checksum, which puts the body decoders themselves under fire: the full
+//! snapshot body, a delta generation's body restored from a persistence
+//! directory, and a `snapshot::put_update` payload (the WAL batch record
+//! vocabulary) decoded by `snapshot::get_update`.
+//!
 //! The `fuzz-sweep` experiment asserts `panics == 0 && misdecodes == 0`
 //! over thousands of mutations per format. Everything is deterministic:
 //! mutation `i` under seed `s` is the same bytes on every run, so a failure
@@ -24,12 +31,12 @@
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 
-use bytes::Bytes;
+use bytes::{Buf, Bytes, BytesMut};
 use r2d2_core::{PersistenceConfig, PipelineConfig, R2d2Session, SessionSnapshot};
 use r2d2_graph::codec as graph_codec;
 use r2d2_lake::{
-    storage, Column, DataLake, DataType, Meter, PartitionSpec, PartitionedTable, Schema, Table,
-    Value,
+    snapshot, storage, wal, AccessProfile, DataLake, DatasetId, LakeUpdate, Lineage, Meter,
+    PartitionedTable, Predicate, Value,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -37,7 +44,8 @@ use rand::{Rng, SeedableRng};
 /// Tally of one format's sweep.
 #[derive(Debug, Clone)]
 pub struct FormatOutcome {
-    /// Which decoder was swept (`"lake"`, `"snapshot"`, `"wal"`, `"graph"`).
+    /// Which decoder was swept (`"lake"`, `"snapshot"`, `"wal"`, `"graph"`,
+    /// `"snapshot-body"`, `"delta-body"`, `"update"`).
     pub format: &'static str,
     /// Mutations evaluated.
     pub mutations: usize,
@@ -173,60 +181,13 @@ fn sweep(
     outcome
 }
 
-/// A base table whose encoding exercises all three page layouts: packed
-/// ints and bools, a tagged Float column carrying mixed `Int` variants and
-/// nulls, dictionary-friendly repetitive strings (with unicode), and
-/// timestamps, split into several row groups.
+/// The base table: the committed `R2D2LAKE` format fixture, whose encoding
+/// exercises all three page layouts (packed ints and bools, a tagged Float
+/// column carrying mixed `Int` variants and nulls, dictionary-friendly
+/// repetitive strings with unicode, and timestamps) over four row groups.
 fn base_partitioned_table() -> PartitionedTable {
-    let schema = Schema::flat(&[
-        ("id", DataType::Int),
-        ("score", DataType::Float),
-        ("label", DataType::Utf8),
-        ("flag", DataType::Bool),
-        ("seen", DataType::Timestamp),
-    ])
-    .expect("valid schema");
-    let labels = ["alpha", "βeta", "🦀", "alpha"];
-    let columns = vec![
-        Column::new(DataType::Int, (0..64).map(Value::Int).collect()).expect("int column"),
-        Column::new(
-            DataType::Float,
-            (0..64)
-                .map(|i| match i % 4 {
-                    0 => Value::Float(i as f64 + 0.5),
-                    1 => Value::Int(i),
-                    2 => Value::Null,
-                    _ => Value::Float(-(i as f64)),
-                })
-                .collect(),
-        )
-        .expect("float column"),
-        Column::new(
-            DataType::Utf8,
-            (0..64)
-                .map(|i| Value::Str(labels[i % labels.len()].to_string()))
-                .collect(),
-        )
-        .expect("utf8 column"),
-        Column::new(
-            DataType::Bool,
-            (0..64).map(|i| Value::Bool(i % 3 == 0)).collect(),
-        )
-        .expect("bool column"),
-        Column::new(
-            DataType::Timestamp,
-            (0..64).map(|i| Value::Timestamp(i * 1000)).collect(),
-        )
-        .expect("timestamp column"),
-    ];
-    let table = Table::new(schema, columns).expect("valid table");
-    PartitionedTable::from_table(
-        table,
-        PartitionSpec::ByRowCount {
-            rows_per_partition: 16,
-        },
-    )
-    .expect("partitionable")
+    const FIXTURE: &[u8] = include_bytes!("../../../tests/fixtures/table.r2d2lake");
+    storage::decode(&Bytes::from_static(FIXTURE), &Meter::new()).expect("fixture table decodes")
 }
 
 /// Collect every value of every partition column, or `None` when any page
@@ -294,18 +255,188 @@ fn base_session() -> R2d2Session {
 pub fn sweep_snapshot(mutations: usize, seed: u64) -> FormatOutcome {
     let base = base_session().snapshot();
     sweep("snapshot", base.as_bytes(), mutations, seed, |mutated| {
-        let restored = match SessionSnapshot::from_bytes(mutated).restore() {
-            Ok(s) => s,
-            Err(_) => return Verdict::Rejected,
+        stable(SessionSnapshot::from_bytes(mutated).restore())
+    })
+}
+
+/// Sweep `mutations` body-only mutations of a snapshot file image whose
+/// body sits between a `header`-byte prefix and the 16-byte trailer
+/// (`checksum u64 | magic`): each mutated body is re-framed with its own
+/// checksum, so it reaches the body decoder instead of failing the
+/// checksum.
+fn sweep_body(
+    format: &'static str,
+    file: &[u8],
+    header: usize,
+    mutations: usize,
+    seed: u64,
+    eval: impl Fn(Vec<u8>) -> Verdict,
+) -> FormatOutcome {
+    let (head, rest) = file.split_at(header);
+    let (body, trailer) = rest.split_at(rest.len() - 16);
+    sweep(format, body, mutations, seed, |body| {
+        let mut image = head.to_vec();
+        image.extend_from_slice(&body);
+        image.extend_from_slice(&wal::checksum(&body).to_le_bytes());
+        image.extend_from_slice(&trailer[8..]);
+        eval(image)
+    })
+}
+
+/// The snapshot oracle: a restored session must be *stable* — snapshotting
+/// it and restoring again reproduces identical snapshot bytes (otherwise the
+/// accepted bytes were misread into a different session state).
+fn stable(restored: Result<R2d2Session, r2d2_lake::LakeError>) -> Verdict {
+    let Ok(restored) = restored else {
+        return Verdict::Rejected;
+    };
+    let first = restored.snapshot();
+    match SessionSnapshot::from_bytes(first.as_bytes().to_vec()).restore() {
+        Ok(again) if again.snapshot().as_bytes() == first.as_bytes() => Verdict::Accepted,
+        _ => Verdict::Misdecode,
+    }
+}
+
+/// Sweep the full snapshot *body* decoder (magic, version, kind byte and
+/// checksum stay valid). Oracle as [`sweep_snapshot`].
+pub fn sweep_snapshot_body(mutations: usize, seed: u64) -> FormatOutcome {
+    let base = base_session().snapshot();
+    sweep_body(
+        "snapshot-body",
+        base.as_bytes(),
+        13,
+        mutations,
+        seed,
+        |image| stable(SessionSnapshot::from_bytes(image).restore()),
+    )
+}
+
+/// Sweep a delta generation's body as [`R2d2Session::restore`] reads it:
+/// a persistence directory holds full generation 1 and delta generation 2,
+/// and every mutation rewrites the directory with a re-checksummed mutant
+/// of the delta body before restoring. A rejected delta makes the restore
+/// fall back to generation 1 and its WAL, which counts as a rejection; an
+/// accepted one must pass the stability check of [`sweep_snapshot`].
+pub fn sweep_delta_body(mutations: usize, seed: u64, scratch: &Path) -> FormatOutcome {
+    let dir = scratch.join("fuzz_delta_base");
+    std::fs::remove_dir_all(&dir).ok();
+    let mut session = base_session();
+    session
+        .enable_persistence(PersistenceConfig::new(&dir))
+        .expect("enable persistence");
+    for update in base_updates() {
+        session.apply(update).expect("apply");
+    }
+    assert_eq!(session.checkpoint().expect("checkpoint"), 2);
+    let mut files: Vec<(std::path::PathBuf, Vec<u8>)> = std::fs::read_dir(&dir)
+        .expect("persistence dir")
+        .map(|e| {
+            let path = e.expect("dir entry").path();
+            let bytes = std::fs::read(&path).expect("read persisted file");
+            (path, bytes)
+        })
+        .collect();
+    files.sort();
+    let delta = files
+        .iter()
+        .position(|(p, _)| p.ends_with("snapshot-000002.r2d2snap"))
+        .expect("delta generation 2");
+    let (delta_path, delta_file) = files.remove(delta);
+    // magic + version + kind + base sequence + base checksum
+    let outcome = sweep_body("delta-body", &delta_file, 29, mutations, seed, |image| {
+        std::fs::remove_dir_all(&dir).ok();
+        std::fs::create_dir_all(&dir).expect("recreate persistence dir");
+        for (path, bytes) in &files {
+            std::fs::write(path, bytes).expect("restore persisted file");
+        }
+        std::fs::write(&delta_path, image).expect("write mutant delta");
+        match R2d2Session::restore(&dir) {
+            // A session restored from a directory snapshots with the
+            // persistence policy its files carry, which a standalone
+            // snapshot drops: go through one standalone snapshot first so
+            // the policy cannot differ.
+            Ok(s) if s.persistence_generation() == Some(2) => stable(s.snapshot().restore()),
+            // The delta was rejected: restore fell back to generation 1 and
+            // rotated to a fresh generation, or failed with a typed error.
+            _ => Verdict::Rejected,
+        }
+    });
+    std::fs::remove_dir_all(&dir).ok();
+    outcome
+}
+
+/// One update of every kind, valid against [`base_session`]'s lake.
+fn base_updates() -> Vec<LakeUpdate> {
+    let table = base_partitioned_table();
+    let rows = table.partitions()[1].clone();
+    vec![
+        LakeUpdate::AddDataset {
+            name: "fuzz/extra".into(),
+            data: table,
+            access: AccessProfile {
+                accesses_per_period: 3.0,
+                maintenance_per_period: 0.5,
+            },
+            lineage: Some(Lineage {
+                parent: DatasetId(0),
+                transform: "copy of the fuzz base table".into(),
+            }),
+        },
+        LakeUpdate::AppendRows {
+            id: DatasetId(1),
+            rows,
+        },
+        LakeUpdate::DeleteRows {
+            id: DatasetId(2),
+            predicate: Predicate::and(vec![
+                Predicate::between("id", Value::Int(8), Value::Int(12)),
+                Predicate::eq("label", Value::Str("🦀".into())),
+            ]),
+        },
+        LakeUpdate::DropDataset { id: DatasetId(2) },
+    ]
+}
+
+/// Whether every page of an update's table decodes (appended rows are
+/// materialized by the decoder itself; a new dataset's pages stay lazy).
+fn materializes(update: &LakeUpdate) -> bool {
+    match update {
+        LakeUpdate::AddDataset { data, .. } => materialize(data).is_some(),
+        _ => true,
+    }
+}
+
+/// Sweep a `snapshot::put_update` payload — one update of every kind, back
+/// to back — decoded by `snapshot::get_update` until the payload is spent.
+/// Oracle: accepted updates materialize, and re-encoding them decodes back
+/// to equal updates.
+pub fn sweep_update(mutations: usize, seed: u64) -> FormatOutcome {
+    let encode = |updates: &[LakeUpdate]| {
+        let mut buf = BytesMut::new();
+        for update in updates {
+            snapshot::put_update(&mut buf, update);
+        }
+        buf.freeze()
+    };
+    let decode = |mut buf: Bytes| {
+        let mut updates = Vec::new();
+        while buf.remaining() > 0 {
+            let update = snapshot::get_update(&mut buf).ok()?;
+            if !materializes(&update) {
+                return None;
+            }
+            updates.push(update);
+        }
+        Some(updates)
+    };
+    let base = encode(&base_updates());
+    sweep("update", &base, mutations, seed, |mutated| {
+        let Some(updates) = decode(Bytes::from(mutated)) else {
+            return Verdict::Rejected;
         };
-        let first = restored.snapshot();
-        let Ok(again) = SessionSnapshot::from_bytes(first.as_bytes().to_vec()).restore() else {
-            return Verdict::Misdecode;
-        };
-        if again.snapshot().as_bytes() == first.as_bytes() {
-            Verdict::Accepted
-        } else {
-            Verdict::Misdecode
+        match decode(encode(&updates)) {
+            Some(again) if again == updates => Verdict::Accepted,
+            _ => Verdict::Misdecode,
         }
     })
 }
@@ -324,15 +455,7 @@ pub fn sweep_wal(mutations: usize, seed: u64, scratch: &Path) -> FormatOutcome {
     session
         .enable_persistence(PersistenceConfig::new(&wal_dir))
         .expect("enable persistence");
-    let extra = base_partitioned_table();
-    session
-        .apply(r2d2_lake::LakeUpdate::AddDataset {
-            name: "fuzz/extra".to_string(),
-            data: extra,
-            access: Default::default(),
-            lineage: None,
-        })
-        .expect("apply");
+    session.apply(base_updates().swap_remove(0)).expect("apply");
     let mut segments: Vec<_> = std::fs::read_dir(&wal_dir)
         .expect("wal dir")
         .filter_map(|e| e.ok().map(|e| e.path()))
@@ -345,7 +468,7 @@ pub fn sweep_wal(mutations: usize, seed: u64, scratch: &Path) -> FormatOutcome {
     let file = scratch.join("fuzz_wal_mutant.r2d2wal");
     let outcome = sweep("wal", &base, mutations, seed, |mutated| {
         std::fs::write(&file, &mutated).expect("write mutant");
-        match r2d2_lake::wal::read_records(&file) {
+        match wal::read_records(&file) {
             Ok(_) => Verdict::Accepted,
             Err(_) => Verdict::Rejected,
         }
@@ -372,13 +495,17 @@ pub fn sweep_graph(mutations: usize, seed: u64) -> FormatOutcome {
     })
 }
 
-/// Sweep all four formats with `mutations` mutations each.
+/// Sweep all four formats and the three body-level targets with
+/// `mutations` mutations each.
 pub fn sweep_all(mutations: usize, seed: u64, scratch: &Path) -> Vec<FormatOutcome> {
     vec![
         sweep_lake(mutations, seed),
         sweep_snapshot(mutations, seed),
         sweep_wal(mutations, seed, scratch),
         sweep_graph(mutations, seed),
+        sweep_snapshot_body(mutations, seed),
+        sweep_delta_body(mutations, seed, scratch),
+        sweep_update(mutations, seed),
     ]
 }
 

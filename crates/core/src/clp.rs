@@ -27,10 +27,9 @@ use r2d2_lake::{DataLake, DatasetId, HashJoinCache, Meter, PartitionedTable, Res
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 /// Statistics of one CLP run.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ClpStats {
     /// Edges examined.
     pub edges_examined: usize,

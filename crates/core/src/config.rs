@@ -5,10 +5,8 @@
 //! parameters, seed derivation and worker-thread count, which is what keeps
 //! incremental results bit-identical to a fresh batch run.
 
-use serde::{Deserialize, Serialize};
-
 /// How Content-Level Pruning draws its sample of child rows.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClpSampling {
     /// Sample `t` uniformly random rows of the child (the simplest variant;
     /// corresponds to "sampling a table naively" in §6.6).
@@ -35,7 +33,7 @@ pub enum ClpSampling {
 /// `threshold`. Because that estimate is exactly `1.0` for true containment
 /// pairs, any `threshold ≤ 1.0` only ever prunes provably-false pairs — the
 /// final graph stays identical; only the work to reach it shrinks.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ApproxConfig {
     /// Signature size `k` (number of MinHash permutations) the tier gates
     /// with. Clamped to the persisted size
@@ -102,7 +100,7 @@ impl ApproxConfig {
 }
 
 /// Configuration of the R2D2 pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PipelineConfig {
     /// `s`: maximum number of (common) columns used to build the CLP filter.
     /// The paper finds `s = 4` a good default (§6.6, Table 6).

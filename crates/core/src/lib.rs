@@ -63,6 +63,8 @@ pub mod clp;
 pub mod config;
 mod dynamic;
 mod fanout;
+#[cfg(test)]
+mod format_fixtures;
 pub mod ingest;
 pub mod mmp;
 pub mod persist;

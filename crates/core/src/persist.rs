@@ -64,8 +64,12 @@ use crate::session::UpdateReport;
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use r2d2_graph::diff::EdgeDelta;
 use r2d2_graph::{codec as graph_codec, ContainmentGraph};
-use r2d2_lake::snapshot as wire;
+use r2d2_lake::snapshot;
 use r2d2_lake::wal::{self, WalWriter};
+use r2d2_lake::wire::{
+    get_bool, get_bytes, get_count, get_f64, get_opt, get_raw, get_u32, get_u64, get_u8, get_usize,
+    put_bool, put_bytes, put_opt, put_usize,
+};
 use r2d2_lake::{DataLake, HashJoinCache, LakeError, LakeUpdate, Result, SchemaInterner};
 use r2d2_opt::advisor::AdvisorState;
 use std::collections::BTreeMap;
@@ -268,7 +272,7 @@ pub(crate) struct BaseCapture {
     /// Interner length (interners only grow; the tail is the diff).
     pub(crate) interner_len: usize,
     /// Sorted join-cache key set (entries are immutable per key).
-    pub(crate) cache_keys: Vec<wire::CacheKey>,
+    pub(crate) cache_keys: Vec<snapshot::CacheKey>,
     /// Update-log length (the log only appends).
     pub(crate) log_len: usize,
     /// Advisor fingerprint, when the advisor was enabled at the snapshot.
@@ -281,10 +285,10 @@ pub(crate) fn capture_base(seq: u64, body_checksum: u64, parts: &SnapshotParts<'
     BaseCapture {
         seq,
         body_checksum,
-        lake: wire::lake_fingerprint(parts.lake),
+        lake: snapshot::lake_fingerprint(parts.lake),
         graph: graph_codec::capture(parts.graph),
         interner_len: parts.interner.len(),
-        cache_keys: wire::cache_keys(parts.cache),
+        cache_keys: snapshot::cache_keys(parts.cache),
         log_len: parts.log.len(),
         advisor: parts.advisor.map(|a| a.capture()),
     }
@@ -434,32 +438,28 @@ impl WalRecord {
                 buf.put_u8(0);
                 buf.put_u32_le(updates.len() as u32);
                 for u in updates {
-                    wire::put_update(&mut buf, u);
+                    snapshot::put_update(&mut buf, u);
                 }
             }
             WalRecord::AccessRefresh { counts, meter } => {
                 buf.put_u8(1);
-                wire::put_count_map(&mut buf, counts);
-                wire::put_op_counts(&mut buf, meter);
+                snapshot::put_count_map(&mut buf, counts);
+                snapshot::put_op_counts(&mut buf, meter);
             }
         }
         buf.freeze()
     }
 
     pub(crate) fn decode(buf: &mut Bytes) -> Result<WalRecord> {
-        Ok(match wire::get_tag(buf, "wal record tag")? {
+        Ok(match get_u8(buf, "wal record tag")? {
             0 => {
-                wire::expect_len(buf, 4, "wal batch length")?;
-                let len = buf.get_u32_le() as usize;
-                let mut updates = Vec::with_capacity(len.min(4096));
-                for _ in 0..len {
-                    updates.push(wire::get_update(buf)?);
-                }
-                WalRecord::Batch(updates)
+                let len = get_count(buf, 1, "wal batch")?;
+                let updates = (0..len).map(|_| snapshot::get_update(buf));
+                WalRecord::Batch(updates.collect::<Result<_>>()?)
             }
             1 => WalRecord::AccessRefresh {
-                counts: wire::get_count_map(buf)?,
-                meter: wire::get_op_counts(buf)?,
+                counts: snapshot::get_count_map(buf)?,
+                meter: snapshot::get_op_counts(buf)?,
             },
             other => {
                 return Err(LakeError::Corrupt(format!(
@@ -540,45 +540,39 @@ fn put_duration(buf: &mut BytesMut, d: &Duration) {
 }
 
 fn get_duration(buf: &mut Bytes) -> Result<Duration> {
-    wire::expect_len(buf, 12, "duration")?;
-    let secs = buf.get_u64_le();
-    let nanos = buf.get_u32_le();
-    Ok(Duration::new(secs, nanos))
+    let secs = get_u64(buf, "duration")?;
+    Ok(Duration::new(secs, get_u32(buf, "duration")?))
 }
 
 fn put_pipeline_config(buf: &mut BytesMut, c: &PipelineConfig) {
-    wire::put_usize(buf, c.clp_columns);
-    wire::put_usize(buf, c.clp_rows);
-    wire::put_usize(buf, c.clp_rounds);
+    put_usize(buf, c.clp_columns);
+    put_usize(buf, c.clp_rows);
+    put_usize(buf, c.clp_rounds);
     buf.put_u8(match c.clp_sampling {
         ClpSampling::RandomRows => 0,
         ClpSampling::PredicateFilter => 1,
         ClpSampling::BothSides => 2,
     });
     buf.put_u64_le(c.seed);
-    wire::put_bool(buf, c.mmp_typed_columns_only);
-    wire::put_bool(buf, c.mmp_distinct_gate);
-    wire::put_bool(buf, c.clp_bloom_gate);
-    wire::put_usize(buf, c.threads);
-    match &c.approx {
-        None => buf.put_u8(0),
-        Some(a) => {
-            buf.put_u8(1);
-            wire::put_usize(buf, a.signature_k);
-            wire::put_usize(buf, a.lsh_bands);
-            wire::put_usize(buf, a.lsh_rows);
-            buf.put_f64_le(a.threshold);
-            wire::put_usize(buf, a.report_samples);
-            buf.put_f64_le(a.report_confidence);
-        }
-    }
+    put_bool(buf, c.mmp_typed_columns_only);
+    put_bool(buf, c.mmp_distinct_gate);
+    put_bool(buf, c.clp_bloom_gate);
+    put_usize(buf, c.threads);
+    put_opt(buf, &c.approx, |buf, a| {
+        put_usize(buf, a.signature_k);
+        put_usize(buf, a.lsh_bands);
+        put_usize(buf, a.lsh_rows);
+        buf.put_f64_le(a.threshold);
+        put_usize(buf, a.report_samples);
+        buf.put_f64_le(a.report_confidence);
+    });
 }
 
 fn get_pipeline_config(buf: &mut Bytes) -> Result<PipelineConfig> {
-    let clp_columns = wire::get_usize(buf)?;
-    let clp_rows = wire::get_usize(buf)?;
-    let clp_rounds = wire::get_usize(buf)?;
-    let clp_sampling = match wire::get_tag(buf, "clp sampling tag")? {
+    let clp_columns = get_usize(buf, "clp columns")?;
+    let clp_rows = get_usize(buf, "clp rows")?;
+    let clp_rounds = get_usize(buf, "clp rounds")?;
+    let clp_sampling = match get_u8(buf, "clp sampling tag")? {
         0 => ClpSampling::RandomRows,
         1 => ClpSampling::PredicateFilter,
         2 => ClpSampling::BothSides,
@@ -588,27 +582,21 @@ fn get_pipeline_config(buf: &mut Bytes) -> Result<PipelineConfig> {
             )))
         }
     };
-    let seed = wire::get_u64(buf)?;
-    let mmp_typed_columns_only = wire::get_bool(buf)?;
-    let mmp_distinct_gate = wire::get_bool(buf)?;
-    let clp_bloom_gate = wire::get_bool(buf)?;
-    let threads = wire::get_usize(buf)?;
-    let approx = match wire::get_tag(buf, "approx config tag")? {
-        0 => None,
-        1 => Some(crate::config::ApproxConfig {
-            signature_k: wire::get_usize(buf)?,
-            lsh_bands: wire::get_usize(buf)?,
-            lsh_rows: wire::get_usize(buf)?,
-            threshold: wire::get_f64(buf)?,
-            report_samples: wire::get_usize(buf)?,
-            report_confidence: wire::get_f64(buf)?,
-        }),
-        other => {
-            return Err(LakeError::Corrupt(format!(
-                "unknown approx config tag {other}"
-            )))
-        }
-    };
+    let seed = get_u64(buf, "pipeline seed")?;
+    let mmp_typed_columns_only = get_bool(buf, "pipeline flags")?;
+    let mmp_distinct_gate = get_bool(buf, "pipeline flags")?;
+    let clp_bloom_gate = get_bool(buf, "pipeline flags")?;
+    let threads = get_usize(buf, "pipeline threads")?;
+    let approx = get_opt(buf, "approx config", |buf| {
+        Ok(crate::config::ApproxConfig {
+            signature_k: get_usize(buf, "approx config")?,
+            lsh_bands: get_usize(buf, "approx config")?,
+            lsh_rows: get_usize(buf, "approx config")?,
+            threshold: get_f64(buf, "approx config")?,
+            report_samples: get_usize(buf, "approx config")?,
+            report_confidence: get_f64(buf, "approx config")?,
+        })
+    })?;
     Ok(PipelineConfig {
         clp_columns,
         clp_rows,
@@ -624,17 +612,26 @@ fn get_pipeline_config(buf: &mut Bytes) -> Result<PipelineConfig> {
 }
 
 fn put_graph(buf: &mut BytesMut, graph: &ContainmentGraph) {
-    wire::put_bytes(buf, &graph_codec::encode(graph));
+    put_bytes(buf, &graph_codec::encode(graph));
+}
+
+/// Decode one length-framed section with `decode`, which must consume it
+/// exactly.
+fn get_section<T>(
+    buf: &mut Bytes,
+    what: &str,
+    decode: impl FnOnce(&mut Bytes) -> Result<T>,
+) -> Result<T> {
+    let mut section = get_bytes(buf, what)?;
+    let value = decode(&mut section)?;
+    if section.remaining() != 0 {
+        return Err(LakeError::Corrupt(format!("trailing {what} bytes")));
+    }
+    Ok(value)
 }
 
 fn get_graph(buf: &mut Bytes) -> Result<ContainmentGraph> {
-    let raw = wire::get_bytes(buf)?;
-    let mut cursor = raw.clone();
-    let graph = graph_codec::decode(&mut cursor).map_err(|e| LakeError::Corrupt(e.to_string()))?;
-    if cursor.remaining() != 0 {
-        return Err(LakeError::Corrupt("trailing graph bytes".into()));
-    }
-    Ok(graph)
+    get_section(buf, "graph", graph_codec::decode)
 }
 
 fn put_pipeline_report(buf: &mut BytesMut, report: &PipelineReport) {
@@ -649,10 +646,10 @@ fn put_pipeline_report(buf: &mut BytesMut, report: &PipelineReport) {
             Stage::Clp => 2,
         });
         put_duration(buf, &stage.duration);
-        wire::put_op_counts(buf, &stage.ops);
-        wire::put_usize(buf, stage.edges_after);
+        snapshot::put_op_counts(buf, &stage.ops);
+        put_usize(buf, stage.edges_after);
     }
-    wire::put_usize(buf, report.sgb_clusters);
+    put_usize(buf, report.sgb_clusters);
     put_duration(buf, &report.total_duration);
     buf.put_u32_le(report.approx_edges.len() as u32);
     for edge in &report.approx_edges {
@@ -661,7 +658,7 @@ fn put_pipeline_report(buf: &mut BytesMut, report: &PipelineReport) {
         buf.put_f64_le(edge.estimate.estimate);
         buf.put_f64_le(edge.estimate.lower);
         buf.put_f64_le(edge.estimate.upper);
-        wire::put_usize(buf, edge.estimate.samples);
+        put_usize(buf, edge.estimate.samples);
         buf.put_f64_le(edge.estimate.confidence);
     }
 }
@@ -670,11 +667,11 @@ fn get_pipeline_report(buf: &mut Bytes) -> Result<PipelineReport> {
     let after_sgb = get_graph(buf)?;
     let after_mmp = get_graph(buf)?;
     let after_clp = get_graph(buf)?;
-    wire::expect_len(buf, 4, "stage count")?;
-    let stage_count = buf.get_u32_le() as usize;
-    let mut stages = Vec::with_capacity(stage_count.min(8));
+    // tag + duration + op counts + edge count
+    let stage_count = get_count(buf, 1 + 12 + 136 + 8, "stages")?;
+    let mut stages = Vec::with_capacity(stage_count);
     for _ in 0..stage_count {
-        let stage = match wire::get_tag(buf, "stage tag")? {
+        let stage = match get_u8(buf, "stage tag")? {
             0 => Stage::Sgb,
             1 => Stage::Mmp,
             2 => Stage::Clp,
@@ -683,25 +680,23 @@ fn get_pipeline_report(buf: &mut Bytes) -> Result<PipelineReport> {
         stages.push(StageReport {
             stage,
             duration: get_duration(buf)?,
-            ops: wire::get_op_counts(buf)?,
-            edges_after: wire::get_usize(buf)?,
+            ops: snapshot::get_op_counts(buf)?,
+            edges_after: get_usize(buf, "stage edge count")?,
         });
     }
-    let sgb_clusters = wire::get_usize(buf)?;
+    let sgb_clusters = get_usize(buf, "sgb cluster count")?;
     let total_duration = get_duration(buf)?;
-    wire::expect_len(buf, 4, "approx edge count")?;
-    let approx_count = buf.get_u32_le() as usize;
-    let mut approx_edges = Vec::with_capacity(approx_count.min(4096));
+    let approx_count = get_count(buf, 56, "approx edges")?;
+    let mut approx_edges = Vec::with_capacity(approx_count);
     for _ in 0..approx_count {
-        wire::expect_len(buf, 16, "approx edge endpoints")?;
-        let parent = buf.get_u64_le();
-        let child = buf.get_u64_le();
+        let parent = get_u64(buf, "approx edge parent")?;
+        let child = get_u64(buf, "approx edge child")?;
         let estimate = crate::approx::ContainmentEstimate {
-            estimate: wire::get_f64(buf)?,
-            lower: wire::get_f64(buf)?,
-            upper: wire::get_f64(buf)?,
-            samples: wire::get_usize(buf)?,
-            confidence: wire::get_f64(buf)?,
+            estimate: get_f64(buf, "approx estimate")?,
+            lower: get_f64(buf, "approx estimate")?,
+            upper: get_f64(buf, "approx estimate")?,
+            samples: get_usize(buf, "approx estimate")?,
+            confidence: get_f64(buf, "approx estimate")?,
         };
         approx_edges.push(ApproxEdgeReport {
             parent,
@@ -721,57 +716,51 @@ fn get_pipeline_report(buf: &mut Bytes) -> Result<PipelineReport> {
 }
 
 fn put_update_report(buf: &mut BytesMut, report: &UpdateReport) {
-    wire::put_usize(buf, report.updates_applied);
+    put_usize(buf, report.updates_applied);
     buf.put_u32_le(report.applied.len() as u32);
     for a in &report.applied {
-        wire::put_applied(buf, a);
+        snapshot::put_applied(buf, a);
     }
-    wire::put_usize(buf, report.datasets_changed);
-    wire::put_usize(buf, report.candidates_checked);
-    wire::put_usize(buf, report.rows_sampled);
-    buf.put_u32_le(report.delta.added.len() as u32);
-    for &(p, c) in &report.delta.added {
-        buf.put_u64_le(p);
-        buf.put_u64_le(c);
+    put_usize(buf, report.datasets_changed);
+    put_usize(buf, report.candidates_checked);
+    put_usize(buf, report.rows_sampled);
+    for edges in [&report.delta.added, &report.delta.removed] {
+        buf.put_u32_le(edges.len() as u32);
+        for &(p, c) in edges {
+            buf.put_u64_le(p);
+            buf.put_u64_le(c);
+        }
     }
-    buf.put_u32_le(report.delta.removed.len() as u32);
-    for &(p, c) in &report.delta.removed {
-        buf.put_u64_le(p);
-        buf.put_u64_le(c);
-    }
-    wire::put_op_counts(buf, &report.ops);
+    snapshot::put_op_counts(buf, &report.ops);
     put_duration(buf, &report.duration);
 }
 
 fn get_edge_list(buf: &mut Bytes) -> Result<Vec<(u64, u64)>> {
-    wire::expect_len(buf, 4, "edge list length")?;
-    let len = buf.get_u32_le() as usize;
-    let mut edges = Vec::with_capacity(len.min(4096));
-    for _ in 0..len {
-        wire::expect_len(buf, 16, "edge pair")?;
-        let p = buf.get_u64_le();
-        let c = buf.get_u64_le();
-        edges.push((p, c));
-    }
-    Ok(edges)
+    let len = get_count(buf, 16, "edge list")?;
+    (0..len)
+        .map(|_| Ok((get_u64(buf, "edge parent")?, get_u64(buf, "edge child")?)))
+        .collect()
 }
 
+/// Smallest encoded [`UpdateReport`]: four counters, three empty lists, the
+/// op counts and the duration.
+const MIN_UPDATE_REPORT_BYTES: usize = 4 * 8 + 3 * 4 + 136 + 12;
+
 fn get_update_report(buf: &mut Bytes) -> Result<UpdateReport> {
-    let updates_applied = wire::get_usize(buf)?;
-    wire::expect_len(buf, 4, "applied list length")?;
-    let applied_len = buf.get_u32_le() as usize;
-    let mut applied = Vec::with_capacity(applied_len.min(4096));
-    for _ in 0..applied_len {
-        applied.push(wire::get_applied(buf)?);
-    }
-    let datasets_changed = wire::get_usize(buf)?;
-    let candidates_checked = wire::get_usize(buf)?;
-    let rows_sampled = wire::get_usize(buf)?;
+    let updates_applied = get_usize(buf, "updates applied")?;
+    // tag + dataset id
+    let applied_len = get_count(buf, 9, "applied list")?;
+    let applied = (0..applied_len)
+        .map(|_| snapshot::get_applied(buf))
+        .collect::<Result<_>>()?;
+    let datasets_changed = get_usize(buf, "datasets changed")?;
+    let candidates_checked = get_usize(buf, "candidates checked")?;
+    let rows_sampled = get_usize(buf, "rows sampled")?;
     let delta = EdgeDelta {
         added: get_edge_list(buf)?,
         removed: get_edge_list(buf)?,
     };
-    let ops = wire::get_op_counts(buf)?;
+    let ops = snapshot::get_op_counts(buf)?;
     let duration = get_duration(buf)?;
     Ok(UpdateReport {
         updates_applied,
@@ -809,51 +798,47 @@ pub(crate) fn frame_snapshot(kind: SnapshotKind, body: Bytes) -> Bytes {
     file.freeze()
 }
 
-/// Validate a snapshot file image and split it into kind + body, verifying
-/// magic, version, kind tag and the body checksum.
-pub(crate) fn read_snapshot_file(bytes: &Bytes) -> Result<SnapshotFile> {
-    let overhead = 8 + 4 + 1 + 8 + 8; // magic + version + kind + checksum + magic
-    if bytes.len() < overhead {
-        return Err(LakeError::Corrupt("snapshot too small".into()));
-    }
-    if &bytes[..8] != SNAPSHOT_MAGIC {
+/// Parse the fixed header — magic, version, kind tag and, for a delta, the
+/// chain link — returning the kind and where the body starts.
+fn parse_snapshot_header(mut header: Bytes) -> Result<(SnapshotKind, usize)> {
+    if get_raw(&mut header, 8, "snapshot magic")?[..] != SNAPSHOT_MAGIC[..] {
         return Err(LakeError::Corrupt("bad snapshot magic".into()));
     }
-    if &bytes[bytes.len() - 8..] != SNAPSHOT_MAGIC {
-        return Err(LakeError::Corrupt("bad trailing snapshot magic".into()));
-    }
-    let mut header = bytes.slice(8..bytes.len() - 16);
-    let version = header.get_u32_le();
+    let version = get_u32(&mut header, "snapshot version")?;
     if version != SNAPSHOT_VERSION {
         return Err(LakeError::Corrupt(format!(
             "unsupported snapshot version {version}"
         )));
     }
-    let (kind, body_start) = match header.get_u8() {
-        KIND_FULL => (SnapshotKind::Full, 8 + 4 + 1),
-        KIND_DELTA => {
-            if bytes.len() < overhead + 16 {
-                return Err(LakeError::Corrupt("delta snapshot too small".into()));
-            }
-            let base_seq = header.get_u64_le();
-            let base_checksum = header.get_u64_le();
-            (
-                SnapshotKind::Delta {
-                    base_seq,
-                    base_checksum,
-                },
-                8 + 4 + 1 + 16,
-            )
-        }
-        other => {
-            return Err(LakeError::Corrupt(format!(
-                "unknown snapshot kind tag {other}"
-            )))
-        }
+    match get_u8(&mut header, "snapshot kind")? {
+        KIND_FULL => Ok((SnapshotKind::Full, 8 + 4 + 1)),
+        KIND_DELTA => Ok((
+            SnapshotKind::Delta {
+                base_seq: get_u64(&mut header, "delta chain header")?,
+                base_checksum: get_u64(&mut header, "delta chain header")?,
+            },
+            8 + 4 + 1 + 16,
+        )),
+        other => Err(LakeError::Corrupt(format!(
+            "unknown snapshot kind tag {other}"
+        ))),
+    }
+}
+
+/// Validate a snapshot file image and split it into kind + body, verifying
+/// magic, version, kind tag and the body checksum.
+pub(crate) fn read_snapshot_file(bytes: &Bytes) -> Result<SnapshotFile> {
+    // The trailer is `checksum u64 | magic`.
+    let Some(trailer_start) = bytes.len().checked_sub(16) else {
+        return Err(LakeError::Corrupt("snapshot too small".into()));
     };
-    let body = bytes.slice(body_start..bytes.len() - 16);
-    let mut tail = bytes.slice(bytes.len() - 16..bytes.len() - 8);
-    let body_checksum = tail.get_u64_le();
+    if bytes[trailer_start + 8..] != SNAPSHOT_MAGIC[..] {
+        return Err(LakeError::Corrupt("bad trailing snapshot magic".into()));
+    }
+    let (kind, body_start) =
+        parse_snapshot_header(bytes.slice(..trailer_start.min(8 + 4 + 1 + 16)))?;
+    let body = bytes.slice(body_start..trailer_start);
+    let body_checksum = get_u64(&mut bytes.slice(trailer_start..), "snapshot checksum")?;
     if wal::checksum(&body) != body_checksum {
         return Err(LakeError::Corrupt("snapshot checksum mismatch".into()));
     }
@@ -869,60 +854,33 @@ pub(crate) fn read_snapshot_file(bytes: &Bytes) -> Result<SnapshotFile> {
 /// [`chain_members`] walks chains with.
 pub(crate) fn peek_snapshot_kind(path: &Path) -> Result<SnapshotKind> {
     use std::io::Read;
-    let mut file = std::fs::File::open(path)?;
-    let mut header = [0u8; 13];
-    file.read_exact(&mut header)
-        .map_err(|_| LakeError::Corrupt("snapshot header too short".into()))?;
-    if &header[..8] != SNAPSHOT_MAGIC {
-        return Err(LakeError::Corrupt("bad snapshot magic".into()));
-    }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
-    if version != SNAPSHOT_VERSION {
-        return Err(LakeError::Corrupt(format!(
-            "unsupported snapshot version {version}"
-        )));
-    }
-    match header[12] {
-        KIND_FULL => Ok(SnapshotKind::Full),
-        KIND_DELTA => {
-            let mut chain = [0u8; 16];
-            file.read_exact(&mut chain)
-                .map_err(|_| LakeError::Corrupt("delta chain header too short".into()))?;
-            Ok(SnapshotKind::Delta {
-                base_seq: u64::from_le_bytes(chain[..8].try_into().expect("8 bytes")),
-                base_checksum: u64::from_le_bytes(chain[8..].try_into().expect("8 bytes")),
-            })
-        }
-        other => Err(LakeError::Corrupt(format!(
-            "unknown snapshot kind tag {other}"
-        ))),
-    }
+    let mut header = Vec::new();
+    std::fs::File::open(path)?
+        .take(8 + 4 + 1 + 16)
+        .read_to_end(&mut header)?;
+    Ok(parse_snapshot_header(Bytes::from(header))?.0)
 }
 
 /// Encode the full (self-contained) snapshot body.
 pub(crate) fn encode_snapshot_body(parts: &SnapshotParts<'_>) -> Bytes {
     let mut body = BytesMut::new();
     put_pipeline_config(&mut body, parts.config);
-    wire::put_usize(&mut body, parts.snapshot_every_n_updates);
-    wire::put_usize(&mut body, parts.rebase_every_k_deltas);
+    put_usize(&mut body, parts.snapshot_every_n_updates);
+    put_usize(&mut body, parts.rebase_every_k_deltas);
     body.put_u64_le(parts.wal_segment_max_bytes);
-    wire::put_lake(&mut body, parts.lake);
+    snapshot::put_lake(&mut body, parts.lake);
     put_graph(&mut body, parts.graph);
-    wire::put_interner(&mut body, parts.interner);
-    wire::put_join_cache(&mut body, parts.cache);
+    snapshot::put_interner(&mut body, parts.interner);
+    snapshot::put_join_cache(&mut body, parts.cache);
     put_pipeline_report(&mut body, parts.bootstrap);
-    wire::put_usize(&mut body, parts.updates_applied);
+    put_usize(&mut body, parts.updates_applied);
     body.put_u32_le(parts.log.len() as u32);
     for report in parts.log {
         put_update_report(&mut body, report);
     }
-    match parts.advisor {
-        None => body.put_u8(0),
-        Some(advisor) => {
-            body.put_u8(1);
-            wire::put_bytes(&mut body, &advisor.encode());
-        }
-    }
+    put_opt(&mut body, &parts.advisor, |body, advisor| {
+        put_bytes(body, &advisor.encode())
+    });
     body.freeze()
 }
 
@@ -938,19 +896,19 @@ pub(crate) fn encode_snapshot(parts: &SnapshotParts<'_>) -> Bytes {
 pub(crate) fn encode_delta_body(parts: &SnapshotParts<'_>, base: &BaseCapture) -> Bytes {
     let mut body = BytesMut::new();
     put_pipeline_config(&mut body, parts.config);
-    wire::put_usize(&mut body, parts.snapshot_every_n_updates);
-    wire::put_usize(&mut body, parts.rebase_every_k_deltas);
+    put_usize(&mut body, parts.snapshot_every_n_updates);
+    put_usize(&mut body, parts.rebase_every_k_deltas);
     body.put_u64_le(parts.wal_segment_max_bytes);
-    wire::put_lake_delta(&mut body, parts.lake, &base.lake);
-    wire::put_bytes(
+    snapshot::put_lake_delta(&mut body, parts.lake, &base.lake);
+    put_bytes(
         &mut body,
         &graph_codec::encode_delta(parts.graph, &base.graph),
     );
-    wire::put_interner_tail(&mut body, parts.interner, base.interner_len);
-    wire::put_join_cache_delta(&mut body, parts.cache, &base.cache_keys);
-    wire::put_usize(&mut body, parts.updates_applied);
+    snapshot::put_interner_tail(&mut body, parts.interner, base.interner_len);
+    snapshot::put_join_cache_delta(&mut body, parts.cache, &base.cache_keys);
+    put_usize(&mut body, parts.updates_applied);
     // Update-log tail: the log only appends, so the diff is the new reports.
-    wire::put_usize(&mut body, base.log_len);
+    put_usize(&mut body, base.log_len);
     body.put_u32_le((parts.log.len() - base.log_len) as u32);
     for report in &parts.log[base.log_len..] {
         put_update_report(&mut body, report);
@@ -963,16 +921,16 @@ pub(crate) fn encode_delta_body(parts: &SnapshotParts<'_>, base: &BaseCapture) -
         (Some(advisor), Some(capture)) => match advisor.encode_delta(capture) {
             Some(delta) => {
                 body.put_u8(2);
-                wire::put_bytes(&mut body, &delta);
+                put_bytes(&mut body, &delta);
             }
             None => {
                 body.put_u8(1);
-                wire::put_bytes(&mut body, &advisor.encode());
+                put_bytes(&mut body, &advisor.encode());
             }
         },
         (Some(advisor), None) => {
             body.put_u8(1);
-            wire::put_bytes(&mut body, &advisor.encode());
+            put_bytes(&mut body, &advisor.encode());
         }
     }
     body.freeze()
@@ -982,38 +940,22 @@ pub(crate) fn encode_delta_body(parts: &SnapshotParts<'_>, base: &BaseCapture) -
 pub(crate) fn decode_snapshot_body(body: Bytes) -> Result<DecodedSnapshot> {
     let mut buf = body;
     let config = get_pipeline_config(&mut buf)?;
-    let snapshot_every_n_updates = wire::get_usize(&mut buf)?;
-    let rebase_every_k_deltas = wire::get_usize(&mut buf)?;
-    let wal_segment_max_bytes = wire::get_u64(&mut buf)?;
-    let lake = wire::get_lake(&mut buf)?;
+    let snapshot_every_n_updates = get_usize(&mut buf, "snapshot cadence")?;
+    let rebase_every_k_deltas = get_usize(&mut buf, "rebase cadence")?;
+    let wal_segment_max_bytes = get_u64(&mut buf, "wal segment size")?;
+    let lake = snapshot::get_lake(&mut buf)?;
     let graph = get_graph(&mut buf)?;
-    let interner = wire::get_interner(&mut buf)?;
-    let cache = wire::get_join_cache(&mut buf)?;
+    let interner = snapshot::get_interner(&mut buf)?;
+    let cache = snapshot::get_join_cache(&mut buf)?;
     let bootstrap = get_pipeline_report(&mut buf)?;
-    let updates_applied = wire::get_usize(&mut buf)?;
-    wire::expect_len(&buf, 4, "update log length")?;
-    let log_len = buf.get_u32_le() as usize;
-    let mut log = Vec::with_capacity(log_len.min(4096));
-    for _ in 0..log_len {
-        log.push(get_update_report(&mut buf)?);
-    }
-    let advisor = match wire::get_tag(&mut buf, "advisor presence tag")? {
-        0 => None,
-        1 => {
-            let raw = wire::get_bytes(&mut buf)?;
-            let mut cursor = raw.clone();
-            let state = AdvisorState::decode(&mut cursor)?;
-            if cursor.remaining() != 0 {
-                return Err(LakeError::Corrupt("trailing advisor bytes".into()));
-            }
-            Some(state)
-        }
-        other => {
-            return Err(LakeError::Corrupt(format!(
-                "unknown advisor presence tag {other}"
-            )))
-        }
-    };
+    let updates_applied = get_usize(&mut buf, "updates applied")?;
+    let log_len = get_count(&mut buf, MIN_UPDATE_REPORT_BYTES, "update log")?;
+    let log = (0..log_len)
+        .map(|_| get_update_report(&mut buf))
+        .collect::<Result<_>>()?;
+    let advisor = get_opt(&mut buf, "advisor", |buf| {
+        get_section(buf, "advisor", AdvisorState::decode)
+    })?;
     if buf.remaining() != 0 {
         return Err(LakeError::Corrupt("trailing snapshot bytes".into()));
     }
@@ -1040,54 +982,38 @@ pub(crate) fn decode_snapshot_body(body: Bytes) -> Result<DecodedSnapshot> {
 pub(crate) fn apply_delta_body(body: Bytes, base: &mut DecodedSnapshot) -> Result<()> {
     let mut buf = body;
     base.config = get_pipeline_config(&mut buf)?;
-    base.snapshot_every_n_updates = wire::get_usize(&mut buf)?;
-    base.rebase_every_k_deltas = wire::get_usize(&mut buf)?;
-    base.wal_segment_max_bytes = wire::get_u64(&mut buf)?;
-    wire::apply_lake_delta(&mut buf, &mut base.lake)?;
-    let graph_bytes = wire::get_bytes(&mut buf)?;
-    let mut cursor = graph_bytes.clone();
-    graph_codec::apply_delta(&mut base.graph, &mut cursor)
-        .map_err(|e| LakeError::Corrupt(e.to_string()))?;
-    if cursor.remaining() != 0 {
-        return Err(LakeError::Corrupt("trailing graph delta bytes".into()));
-    }
-    wire::apply_interner_tail(&mut buf, &mut base.interner)?;
-    wire::apply_join_cache_delta(&mut buf, &base.cache)?;
-    base.updates_applied = wire::get_usize(&mut buf)?;
-    let log_base = wire::get_usize(&mut buf)?;
+    base.snapshot_every_n_updates = get_usize(&mut buf, "snapshot cadence")?;
+    base.rebase_every_k_deltas = get_usize(&mut buf, "rebase cadence")?;
+    base.wal_segment_max_bytes = get_u64(&mut buf, "wal segment size")?;
+    snapshot::apply_lake_delta(&mut buf, &mut base.lake)?;
+    get_section(&mut buf, "graph delta", |cursor| {
+        graph_codec::apply_delta(&mut base.graph, cursor)
+    })?;
+    snapshot::apply_interner_tail(&mut buf, &mut base.interner)?;
+    snapshot::apply_join_cache_delta(&mut buf, &base.cache)?;
+    base.updates_applied = get_usize(&mut buf, "updates applied")?;
+    let log_base = get_usize(&mut buf, "update log base")?;
     if base.log.len() != log_base {
         return Err(LakeError::Corrupt(format!(
             "update-log tail expects base length {log_base}, found {}",
             base.log.len()
         )));
     }
-    wire::expect_len(&buf, 4, "update log tail length")?;
-    let added = buf.get_u32_le() as usize;
+    let added = get_count(&mut buf, MIN_UPDATE_REPORT_BYTES, "update log tail")?;
     for _ in 0..added {
         base.log.push(get_update_report(&mut buf)?);
     }
-    match wire::get_tag(&mut buf, "advisor delta tag")? {
+    match get_u8(&mut buf, "advisor delta tag")? {
         0 => base.advisor = None,
-        1 => {
-            let raw = wire::get_bytes(&mut buf)?;
-            let mut cursor = raw.clone();
-            let state = AdvisorState::decode(&mut cursor)?;
-            if cursor.remaining() != 0 {
-                return Err(LakeError::Corrupt("trailing advisor bytes".into()));
-            }
-            base.advisor = Some(state);
-        }
+        1 => base.advisor = Some(get_section(&mut buf, "advisor", AdvisorState::decode)?),
         2 => {
-            let raw = wire::get_bytes(&mut buf)?;
             let advisor = base
                 .advisor
                 .as_mut()
                 .ok_or_else(|| LakeError::Corrupt("advisor delta without a base advisor".into()))?;
-            let mut cursor = raw.clone();
-            advisor.apply_delta(&mut cursor)?;
-            if cursor.remaining() != 0 {
-                return Err(LakeError::Corrupt("trailing advisor delta bytes".into()));
-            }
+            get_section(&mut buf, "advisor delta", |cursor| {
+                advisor.apply_delta(cursor)
+            })?;
         }
         other => {
             return Err(LakeError::Corrupt(format!(
@@ -1238,6 +1164,48 @@ impl SessionSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Regression: a snapshot body whose join-cache multiset declares more
+    /// rows than the body holds restores to a typed corruption error. The
+    /// row count once pre-sized a hash map before any entry was read, so an
+    /// inflated count aborted the process on a failed allocation. The body
+    /// checksum is re-stamped so the mutation reaches the body decoder.
+    #[test]
+    fn inflated_join_cache_row_count_is_corrupt_not_an_abort() {
+        let fixture = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../../tests/fixtures/snapshot-full.r2d2snap");
+        let file = read_snapshot_file(&Bytes::from(std::fs::read(fixture).unwrap())).unwrap();
+        let decoded = decode_snapshot_body(file.body.clone()).unwrap();
+        assert!(
+            !decoded.cache.is_empty(),
+            "the fixture carries join-cache entries"
+        );
+        let mut section = BytesMut::new();
+        snapshot::put_join_cache(&mut section, &decoded.cache);
+        let section = section.freeze();
+        let at = file
+            .body
+            .windows(section.len())
+            .position(|w| w == &section[..])
+            .expect("join-cache section inside the body");
+        // Entry count, then the first key (dataset, generation, columns),
+        // then that multiset's u64 row count.
+        let mut cursor = file.body.slice(at + 4..);
+        get_u64(&mut cursor, "dataset").unwrap();
+        get_u64(&mut cursor, "generation").unwrap();
+        for _ in 0..get_count(&mut cursor, 4, "columns").unwrap() {
+            r2d2_lake::wire::get_str(&mut cursor, "column").unwrap();
+        }
+        let rows_at = file.body.len() - cursor.remaining();
+        let mut body = file.body.to_vec();
+        body[rows_at..rows_at + 8].copy_from_slice(&(1u64 << 40).to_le_bytes());
+        let image = frame_snapshot(SnapshotKind::Full, Bytes::from(body));
+        match SessionSnapshot::from_bytes(image).restore() {
+            Err(LakeError::Corrupt(msg)) => assert!(msg.contains("join cache"), "{msg}"),
+            Err(other) => panic!("expected a corruption error, got {other}"),
+            Ok(_) => panic!("an inflated row count must not restore"),
+        }
+    }
 
     #[test]
     fn wal_record_round_trip() {

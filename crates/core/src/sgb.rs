@@ -47,13 +47,12 @@ use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{
     DataLake, InternedSchemaSet, Meter, MinHashSignature, SchemaInterner, SchemaSet, SIGNATURE_K,
 };
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::hash::Hash;
 
 /// One schema cluster produced by SGB: a center plus its members
 /// (the center itself is also a member, as in the paper).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SchemaCluster {
     /// Dataset id of the cluster center (the largest schema in the cluster).
     pub center: u64,
@@ -62,7 +61,7 @@ pub struct SchemaCluster {
 }
 
 /// Output of the SGB stage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SgbResult {
     /// The schema containment graph (parent → child edges).
     pub graph: ContainmentGraph,

@@ -1,8 +1,8 @@
 //! Binary round-trip codec for [`ContainmentGraph`].
 //!
-//! The serde derives in this offline workspace are no-op markers, so durable
-//! session snapshots (`r2d2_core::persist`) serialize the graph through this
-//! hand-written little-endian format instead. The encoding preserves
+//! Durable session snapshots (`r2d2_core::persist`) serialize the graph
+//! through this hand-written little-endian format, framed with the shared
+//! [`r2d2_lake::wire`] primitives. The encoding preserves
 //! everything observable about a graph — *including node-id assignment*:
 //! dataset ids are written in insertion order and re-added in that order on
 //! decode, so `node_of`/`dataset_of` mappings, `datasets()` order and edge
@@ -19,80 +19,29 @@
 //! ```
 
 use crate::containment::{ContainmentEdge, ContainmentGraph};
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{BufMut, Bytes, BytesMut};
+use r2d2_lake::wire::{get_count, get_f64, get_opt, get_str, get_u32, get_u64, put_opt, put_str};
+use r2d2_lake::{LakeError, Result};
 
-/// Error raised when decoding a corrupt graph blob.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct GraphCodecError(String);
+/// Smallest encoded edge: both endpoints plus four absent-annotation bytes.
+const MIN_EDGE_BYTES: usize = 20;
 
-impl std::fmt::Display for GraphCodecError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "corrupt graph encoding: {}", self.0)
-    }
+fn put_annotation(buf: &mut BytesMut, annotation: &ContainmentEdge) {
+    let put_f64 = |buf: &mut BytesMut, x: &f64| buf.put_f64_le(*x);
+    put_opt(buf, &annotation.containment_fraction, put_f64);
+    put_opt(buf, &annotation.transform, |buf, s| put_str(buf, s));
+    put_opt(buf, &annotation.reconstruction_cost, put_f64);
+    put_opt(buf, &annotation.reconstruction_latency, put_f64);
 }
 
-impl std::error::Error for GraphCodecError {}
-
-fn corrupt<T>(what: &str) -> Result<T, GraphCodecError> {
-    Err(GraphCodecError(what.to_string()))
-}
-
-fn need(buf: &Bytes, n: usize, what: &str) -> Result<(), GraphCodecError> {
-    if buf.remaining() < n {
-        return corrupt(what);
-    }
-    Ok(())
-}
-
-fn put_opt_f64(buf: &mut BytesMut, v: &Option<f64>) {
-    match v {
-        None => buf.put_u8(0),
-        Some(x) => {
-            buf.put_u8(1);
-            buf.put_f64_le(*x);
-        }
-    }
-}
-
-fn get_opt_f64(buf: &mut Bytes) -> Result<Option<f64>, GraphCodecError> {
-    need(buf, 1, "optional f64 tag")?;
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => {
-            need(buf, 8, "f64")?;
-            Ok(Some(buf.get_f64_le()))
-        }
-        _ => corrupt("unknown optional f64 tag"),
-    }
-}
-
-fn put_opt_str(buf: &mut BytesMut, v: &Option<String>) {
-    match v {
-        None => buf.put_u8(0),
-        Some(s) => {
-            buf.put_u8(1);
-            buf.put_u32_le(s.len() as u32);
-            buf.put_slice(s.as_bytes());
-        }
-    }
-}
-
-fn get_opt_str(buf: &mut Bytes) -> Result<Option<String>, GraphCodecError> {
-    need(buf, 1, "optional string tag")?;
-    match buf.get_u8() {
-        0 => Ok(None),
-        1 => {
-            need(buf, 4, "string length")?;
-            let len = buf.get_u32_le() as usize;
-            need(buf, len, "string payload")?;
-            let raw = buf.copy_to_bytes(len);
-            match String::from_utf8(raw.to_vec()) {
-                Ok(s) => Ok(Some(s)),
-                Err(_) => corrupt("invalid utf8"),
-            }
-        }
-        _ => corrupt("unknown optional string tag"),
-    }
+fn get_annotation(buf: &mut Bytes) -> Result<ContainmentEdge> {
+    let get_f64 = |buf: &mut Bytes| get_f64(buf, "edge annotation");
+    Ok(ContainmentEdge {
+        containment_fraction: get_opt(buf, "containment fraction", get_f64)?,
+        transform: get_opt(buf, "transform", |buf| get_str(buf, "transform"))?,
+        reconstruction_cost: get_opt(buf, "reconstruction cost", get_f64)?,
+        reconstruction_latency: get_opt(buf, "reconstruction latency", get_f64)?,
+    })
 }
 
 /// Serialize a graph into the binary format described in the module docs.
@@ -107,44 +56,36 @@ pub fn encode(graph: &ContainmentGraph) -> Bytes {
     for (parent, child) in edges {
         buf.put_u64_le(parent);
         buf.put_u64_le(child);
-        let annotation = graph.edge(parent, child).expect("edge just listed");
-        put_opt_f64(&mut buf, &annotation.containment_fraction);
-        put_opt_str(&mut buf, &annotation.transform);
-        put_opt_f64(&mut buf, &annotation.reconstruction_cost);
-        put_opt_f64(&mut buf, &annotation.reconstruction_latency);
+        put_annotation(
+            &mut buf,
+            graph.edge(parent, child).expect("edge just listed"),
+        );
     }
     buf.freeze()
 }
 
 /// Deserialize a graph, reproducing node ids, edges and annotations exactly.
-pub fn decode(buf: &mut Bytes) -> Result<ContainmentGraph, GraphCodecError> {
-    need(buf, 4, "node count")?;
-    let nodes = buf.get_u32_le() as usize;
+pub fn decode(buf: &mut Bytes) -> Result<ContainmentGraph> {
+    let nodes = get_count(buf, 8, "graph nodes")?;
     let mut graph = ContainmentGraph::new();
     for _ in 0..nodes {
-        need(buf, 8, "dataset id")?;
-        graph.add_dataset(buf.get_u64_le());
+        graph.add_dataset(get_u64(buf, "dataset id")?);
     }
     if graph.node_count() != nodes {
-        return corrupt("duplicate dataset id");
+        return Err(LakeError::Corrupt("graph lists a dataset id twice".into()));
     }
-    need(buf, 4, "edge count")?;
-    let edges = buf.get_u32_le() as usize;
+    let edges = get_count(buf, MIN_EDGE_BYTES, "graph edges")?;
     for _ in 0..edges {
-        need(buf, 16, "edge endpoints")?;
-        let parent = buf.get_u64_le();
-        let child = buf.get_u64_le();
-        let annotation = ContainmentEdge {
-            containment_fraction: get_opt_f64(buf)?,
-            transform: get_opt_str(buf)?,
-            reconstruction_cost: get_opt_f64(buf)?,
-            reconstruction_latency: get_opt_f64(buf)?,
-        };
+        let parent = get_u64(buf, "edge parent")?;
+        let child = get_u64(buf, "edge child")?;
+        let annotation = get_annotation(buf)?;
         if graph.node_of(parent).is_none() || graph.node_of(child).is_none() {
-            return corrupt("edge endpoint not in node list");
+            return Err(LakeError::Corrupt(
+                "graph edge endpoint not in node list".into(),
+            ));
         }
         if !graph.add_edge_with(parent, child, annotation) {
-            return corrupt("duplicate edge");
+            return Err(LakeError::Corrupt("graph lists an edge twice".into()));
         }
     }
     Ok(graph)
@@ -181,22 +122,6 @@ pub fn capture(graph: &ContainmentGraph) -> GraphCapture {
             .map(|(p, c)| ((p, c), graph.edge(p, c).expect("edge just listed").clone()))
             .collect(),
     }
-}
-
-fn put_annotation(buf: &mut BytesMut, annotation: &ContainmentEdge) {
-    put_opt_f64(buf, &annotation.containment_fraction);
-    put_opt_str(buf, &annotation.transform);
-    put_opt_f64(buf, &annotation.reconstruction_cost);
-    put_opt_f64(buf, &annotation.reconstruction_latency);
-}
-
-fn get_annotation(buf: &mut Bytes) -> Result<ContainmentEdge, GraphCodecError> {
-    Ok(ContainmentEdge {
-        containment_fraction: get_opt_f64(buf)?,
-        transform: get_opt_str(buf)?,
-        reconstruction_cost: get_opt_f64(buf)?,
-        reconstruction_latency: get_opt_f64(buf)?,
-    })
 }
 
 /// Serialize the difference between `graph` and a prior [`capture`] of it:
@@ -252,43 +177,47 @@ pub fn encode_delta(graph: &ContainmentGraph, base: &GraphCapture) -> Bytes {
 /// removed edges, then upsert the changed ones. Any mismatch with the graph
 /// being patched — wrong base count, removing an absent edge, upserting onto
 /// an unknown endpoint — is a clean corruption error, never a panic.
-pub fn apply_delta(graph: &mut ContainmentGraph, buf: &mut Bytes) -> Result<(), GraphCodecError> {
-    need(buf, 8, "delta node counts")?;
-    let base_nodes = buf.get_u32_le() as usize;
+pub fn apply_delta(graph: &mut ContainmentGraph, buf: &mut Bytes) -> Result<()> {
+    let base_nodes = get_u32(buf, "delta base node count")? as usize;
+    let appended = get_count(buf, 8, "appended nodes")?;
     if graph.node_count() != base_nodes {
-        return corrupt("graph delta expects a different base node count");
+        return Err(LakeError::Corrupt(
+            "graph delta expects a different base node count".into(),
+        ));
     }
-    let appended = buf.get_u32_le() as usize;
     for _ in 0..appended {
-        need(buf, 8, "appended dataset id")?;
-        graph.add_dataset(buf.get_u64_le());
+        graph.add_dataset(get_u64(buf, "appended dataset id")?);
     }
     if graph.node_count() != base_nodes + appended {
-        return corrupt("appended dataset id already present");
+        return Err(LakeError::Corrupt(
+            "graph delta appends a dataset id already present".into(),
+        ));
     }
-    need(buf, 4, "removed edge count")?;
-    let removed = buf.get_u32_le() as usize;
+    let removed = get_count(buf, 16, "removed edges")?;
     for _ in 0..removed {
-        need(buf, 16, "removed edge")?;
-        let parent = buf.get_u64_le();
-        let child = buf.get_u64_le();
+        let parent = get_u64(buf, "removed edge parent")?;
+        let child = get_u64(buf, "removed edge child")?;
         if graph.remove_edge(parent, child).is_none() {
-            return corrupt("graph delta removes an absent edge");
+            return Err(LakeError::Corrupt(
+                "graph delta removes an absent edge".into(),
+            ));
         }
     }
-    need(buf, 4, "upserted edge count")?;
-    let upserted = buf.get_u32_le() as usize;
+    let upserted = get_count(buf, MIN_EDGE_BYTES, "upserted edges")?;
     for _ in 0..upserted {
-        need(buf, 16, "upserted edge")?;
-        let parent = buf.get_u64_le();
-        let child = buf.get_u64_le();
+        let parent = get_u64(buf, "upserted edge parent")?;
+        let child = get_u64(buf, "upserted edge child")?;
         let annotation = get_annotation(buf)?;
         if graph.node_of(parent).is_none() || graph.node_of(child).is_none() {
-            return corrupt("upserted edge endpoint not in node list");
+            return Err(LakeError::Corrupt(
+                "graph delta upserts an edge onto an unknown endpoint".into(),
+            ));
         }
         graph.remove_edge(parent, child);
         if !graph.add_edge_with(parent, child, annotation) {
-            return corrupt("duplicate upserted edge");
+            return Err(LakeError::Corrupt(
+                "graph delta upserts an edge twice".into(),
+            ));
         }
     }
     Ok(())
@@ -297,6 +226,7 @@ pub fn apply_delta(graph: &mut ContainmentGraph, buf: &mut Bytes) -> Result<(), 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::Buf;
 
     fn sample() -> ContainmentGraph {
         // Non-contiguous dataset ids in non-sorted insertion order, so the

@@ -66,6 +66,7 @@ pub mod table;
 pub mod update;
 pub mod value;
 pub mod wal;
+pub mod wire;
 
 pub use builder::TableBuilder;
 pub use catalog::{AccessLog, AccessProfile, DataLake, DatasetEntry, DatasetId, Lineage};

@@ -10,12 +10,11 @@
 //! The meter is cheaply cloneable (an `Arc` of atomics) and thread-safe so
 //! that pipeline stages running on worker threads can share one.
 
-use serde::{Deserialize, Serialize};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Immutable snapshot of a [`Meter`]'s counters.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// Rows read from table data (full scans, predicate scans, joins).
     pub rows_scanned: u64,

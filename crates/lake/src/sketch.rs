@@ -27,7 +27,6 @@
 //! stops pruning — it never lies).
 
 use crate::row::RowHash;
-use serde::{Deserialize, Serialize};
 
 /// Number of bits in a [`ColumnSketch`].
 ///
@@ -45,7 +44,7 @@ const WORDS: usize = SKETCH_BITS / 64;
 
 /// A fixed-size bloom filter over the [`RowHash`]es of a column's non-null
 /// values. See the module docs for the soundness contract.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct ColumnSketch {
     words: [u64; WORDS],
 }

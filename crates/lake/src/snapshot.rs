@@ -1,15 +1,11 @@
 //! Binary codecs for durable session snapshots.
 //!
-//! The serde shim in this offline workspace is a no-op marker, so everything
-//! that must survive a process restart is serialized through the same
-//! hand-written little-endian wire format the [`crate::storage`]
-//! "mini-parquet" files use. This module holds the lake-owned pieces — the
-//! catalog with partitioned tables (data pages via [`storage::encode`]),
-//! access profiles and lineage, the access log, the meter totals, the typed
-//! [`LakeUpdate`] vocabulary (for write-ahead-log records), the
-//! [`SchemaInterner`] and the [`HashJoinCache`] — plus the low-level wire
-//! primitives (`put_str` / `get_str`, …) that `r2d2-core` and `r2d2-opt`
-//! reuse for their own session/advisor sections.
+//! Everything that must survive a process restart is hand-framed over the
+//! shared [`crate::wire`] primitives. This module holds the lake-owned
+//! pieces — the catalog with partitioned tables (data pages via
+//! [`storage::encode`]), access profiles and lineage, the access log, the
+//! meter totals, the typed [`LakeUpdate`] vocabulary (for write-ahead-log
+//! records), the [`SchemaInterner`] and the [`HashJoinCache`].
 //!
 //! Every codec is a pure cursor transformer: encoders append to a
 //! [`BytesMut`], decoders consume from the front of a [`Bytes`], so callers
@@ -31,98 +27,13 @@ use crate::schema::SchemaInterner;
 use crate::storage;
 use crate::table::Table;
 use crate::update::{AppliedUpdate, LakeUpdate};
-use crate::value::Value;
+use crate::wire::{
+    check_count, get_bytes, get_count, get_f64, get_opt, get_raw, get_str, get_u64, get_u8,
+    get_usize, put_bytes, put_opt, put_str, put_usize,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::BTreeMap;
 use std::sync::Arc;
-
-// ---------------------------------------------------------------------------
-// Wire primitives
-// ---------------------------------------------------------------------------
-
-/// Guard a read of `n` bytes, turning a would-be panic into a clean
-/// [`LakeError::Corrupt`] naming `what` was being decoded.
-pub fn expect_len(buf: &Bytes, n: usize, what: &str) -> Result<()> {
-    if buf.remaining() < n {
-        return Err(LakeError::Corrupt(format!("truncated {what}")));
-    }
-    Ok(())
-}
-
-/// Append a length-prefixed byte string (`len u32 | bytes`).
-pub fn put_bytes(buf: &mut BytesMut, bytes: &[u8]) {
-    buf.put_u32_le(bytes.len() as u32);
-    buf.put_slice(bytes);
-}
-
-/// Read a length-prefixed byte string.
-pub fn get_bytes(buf: &mut Bytes) -> Result<Bytes> {
-    expect_len(buf, 4, "byte-string length")?;
-    let len = buf.get_u32_le() as usize;
-    expect_len(buf, len, "byte string")?;
-    Ok(buf.copy_to_bytes(len))
-}
-
-/// Append a length-prefixed UTF-8 string.
-pub fn put_str(buf: &mut BytesMut, s: &str) {
-    put_bytes(buf, s.as_bytes());
-}
-
-/// Read a length-prefixed UTF-8 string.
-pub fn get_str(buf: &mut Bytes) -> Result<String> {
-    let raw = get_bytes(buf)?;
-    String::from_utf8(raw.to_vec()).map_err(|_| LakeError::Corrupt("invalid utf8".into()))
-}
-
-/// Append a bool as one byte.
-pub fn put_bool(buf: &mut BytesMut, v: bool) {
-    buf.put_u8(v as u8);
-}
-
-/// Read a bool.
-pub fn get_bool(buf: &mut Bytes) -> Result<bool> {
-    expect_len(buf, 1, "bool")?;
-    Ok(buf.get_u8() != 0)
-}
-
-/// Append a `usize` as a little-endian `u64`.
-pub fn put_usize(buf: &mut BytesMut, v: usize) {
-    buf.put_u64_le(v as u64);
-}
-
-/// Read a `usize` (stored as `u64`).
-pub fn get_usize(buf: &mut Bytes) -> Result<usize> {
-    expect_len(buf, 8, "usize")?;
-    Ok(buf.get_u64_le() as usize)
-}
-
-/// Read a guarded little-endian `u64`.
-pub fn get_u64(buf: &mut Bytes) -> Result<u64> {
-    expect_len(buf, 8, "u64")?;
-    Ok(buf.get_u64_le())
-}
-
-/// Read a guarded little-endian `f64`.
-pub fn get_f64(buf: &mut Bytes) -> Result<f64> {
-    expect_len(buf, 8, "f64")?;
-    Ok(buf.get_f64_le())
-}
-
-/// Read a guarded tag byte.
-pub fn get_tag(buf: &mut Bytes, what: &str) -> Result<u8> {
-    expect_len(buf, 1, what)?;
-    Ok(buf.get_u8())
-}
-
-/// Append one typed [`Value`] (same encoding as the storage data pages).
-pub fn put_value(buf: &mut BytesMut, v: &Value) {
-    storage::put_value(buf, v);
-}
-
-/// Read one typed [`Value`].
-pub fn get_value(buf: &mut Bytes) -> Result<Value> {
-    storage::get_value(buf)
-}
 
 // ---------------------------------------------------------------------------
 // Lake-owned composite codecs
@@ -161,7 +72,7 @@ pub fn put_op_counts(buf: &mut BytesMut, c: &OpCounts) {
 
 /// Read an [`OpCounts`] snapshot.
 pub fn get_op_counts(buf: &mut Bytes) -> Result<OpCounts> {
-    expect_len(buf, 136, "op counts")?;
+    let mut buf = get_raw(buf, 136, "op counts")?;
     Ok(OpCounts {
         rows_scanned: buf.get_u64_le(),
         bytes_scanned: buf.get_u64_le(),
@@ -191,10 +102,9 @@ pub fn put_access_profile(buf: &mut BytesMut, a: &AccessProfile) {
 
 /// Read an [`AccessProfile`].
 pub fn get_access_profile(buf: &mut Bytes) -> Result<AccessProfile> {
-    expect_len(buf, 16, "access profile")?;
     Ok(AccessProfile {
-        accesses_per_period: buf.get_f64_le(),
-        maintenance_per_period: buf.get_f64_le(),
+        accesses_per_period: get_f64(buf, "access profile")?,
+        maintenance_per_period: get_f64(buf, "access profile")?,
     })
 }
 
@@ -209,14 +119,13 @@ pub fn put_count_map(buf: &mut BytesMut, counts: &BTreeMap<u64, u64>) {
 
 /// Read a `dataset id → count` tally map.
 pub fn get_count_map(buf: &mut Bytes) -> Result<BTreeMap<u64, u64>> {
-    expect_len(buf, 4, "count map length")?;
-    let len = buf.get_u32_le() as usize;
+    let len = get_count(buf, 16, "count map")?;
     let mut counts = BTreeMap::new();
     for _ in 0..len {
-        expect_len(buf, 16, "count map entry")?;
-        let id = buf.get_u64_le();
-        let n = buf.get_u64_le();
-        counts.insert(id, n);
+        counts.insert(
+            get_u64(buf, "count map entry")?,
+            get_u64(buf, "count map entry")?,
+        );
     }
     Ok(counts)
 }
@@ -241,13 +150,13 @@ fn put_spec(buf: &mut BytesMut, spec: &PartitionSpec) {
 }
 
 fn get_spec(buf: &mut Bytes) -> Result<PartitionSpec> {
-    Ok(match get_tag(buf, "partition spec tag")? {
+    Ok(match get_u8(buf, "partition spec tag")? {
         0 => PartitionSpec::ByRowCount {
-            rows_per_partition: get_usize(buf)?,
+            rows_per_partition: get_usize(buf, "partition rows")?,
         },
         1 => PartitionSpec::ByColumn {
-            column: get_str(buf)?,
-            max_partitions: get_usize(buf)?,
+            column: get_str(buf, "partition column")?,
+            max_partitions: get_usize(buf, "partition count")?,
         },
         2 => PartitionSpec::Single,
         3 => PartitionSpec::Explicit,
@@ -285,7 +194,7 @@ pub(crate) fn get_partitioned_with(
     lazy_meter: &Meter,
 ) -> Result<PartitionedTable> {
     let spec = get_spec(buf)?;
-    let raw = get_bytes(buf)?;
+    let raw = get_bytes(buf, "partitioned table")?;
     Ok(storage::decode_with(&raw, &Meter::new(), lazy_meter)?.with_spec(spec))
 }
 
@@ -299,7 +208,7 @@ pub fn put_table(buf: &mut BytesMut, table: &Table) {
 
 /// Read a plain [`Table`].
 pub fn get_table(buf: &mut Bytes) -> Result<Table> {
-    let raw = get_bytes(buf)?;
+    let raw = get_bytes(buf, "table")?;
     let scratch = Meter::new();
     storage::decode(&raw, &scratch)?.to_table(&scratch)
 }
@@ -311,13 +220,13 @@ pub fn put_predicate(buf: &mut BytesMut, p: &Predicate) {
         Predicate::Eq { column, value } => {
             buf.put_u8(1);
             put_str(buf, column);
-            put_value(buf, value);
+            storage::put_value(buf, value);
         }
         Predicate::Between { column, lo, hi } => {
             buf.put_u8(2);
             put_str(buf, column);
-            put_value(buf, lo);
-            put_value(buf, hi);
+            storage::put_value(buf, lo);
+            storage::put_value(buf, hi);
         }
         Predicate::And(ps) => {
             buf.put_u8(3);
@@ -331,24 +240,22 @@ pub fn put_predicate(buf: &mut BytesMut, p: &Predicate) {
 
 /// Read a [`Predicate`] tree.
 pub fn get_predicate(buf: &mut Bytes) -> Result<Predicate> {
-    Ok(match get_tag(buf, "predicate tag")? {
+    Ok(match get_u8(buf, "predicate tag")? {
         0 => Predicate::True,
         1 => Predicate::Eq {
-            column: get_str(buf)?,
-            value: get_value(buf)?,
+            column: get_str(buf, "predicate column")?,
+            value: storage::get_value(buf)?,
         },
         2 => Predicate::Between {
-            column: get_str(buf)?,
-            lo: get_value(buf)?,
-            hi: get_value(buf)?,
+            column: get_str(buf, "predicate column")?,
+            lo: storage::get_value(buf)?,
+            hi: storage::get_value(buf)?,
         },
         3 => {
-            expect_len(buf, 4, "predicate conjunction length")?;
-            let len = buf.get_u32_le() as usize;
-            let mut ps = Vec::with_capacity(len.min(1024));
-            for _ in 0..len {
-                ps.push(get_predicate(buf)?);
-            }
+            let len = get_count(buf, 1, "predicate conjunction")?;
+            let ps = (0..len)
+                .map(|_| get_predicate(buf))
+                .collect::<Result<_>>()?;
             Predicate::And(ps)
         }
         other => return Err(LakeError::Corrupt(format!("unknown predicate tag {other}"))),
@@ -356,24 +263,18 @@ pub fn get_predicate(buf: &mut Bytes) -> Result<Predicate> {
 }
 
 fn put_lineage(buf: &mut BytesMut, lineage: &Option<Lineage>) {
-    match lineage {
-        None => buf.put_u8(0),
-        Some(l) => {
-            buf.put_u8(1);
-            buf.put_u64_le(l.parent.0);
-            put_str(buf, &l.transform);
-        }
-    }
+    put_opt(buf, lineage, |buf, l| {
+        buf.put_u64_le(l.parent.0);
+        put_str(buf, &l.transform);
+    });
 }
 
 fn get_lineage(buf: &mut Bytes) -> Result<Option<Lineage>> {
-    Ok(match get_tag(buf, "lineage tag")? {
-        0 => None,
-        1 => Some(Lineage {
-            parent: DatasetId(get_u64(buf)?),
-            transform: get_str(buf)?,
-        }),
-        other => return Err(LakeError::Corrupt(format!("unknown lineage tag {other}"))),
+    get_opt(buf, "lineage", |buf| {
+        Ok(Lineage {
+            parent: DatasetId(get_u64(buf, "lineage parent")?),
+            transform: get_str(buf, "lineage transform")?,
+        })
     })
 }
 
@@ -412,23 +313,23 @@ pub fn put_update(buf: &mut BytesMut, update: &LakeUpdate) {
 
 /// Read one [`LakeUpdate`].
 pub fn get_update(buf: &mut Bytes) -> Result<LakeUpdate> {
-    Ok(match get_tag(buf, "update tag")? {
+    Ok(match get_u8(buf, "update tag")? {
         0 => LakeUpdate::AddDataset {
-            name: get_str(buf)?,
+            name: get_str(buf, "dataset name")?,
             data: get_partitioned(buf)?,
             access: get_access_profile(buf)?,
             lineage: get_lineage(buf)?,
         },
         1 => LakeUpdate::AppendRows {
-            id: DatasetId(get_u64(buf)?),
+            id: DatasetId(get_u64(buf, "dataset id")?),
             rows: get_table(buf)?,
         },
         2 => LakeUpdate::DeleteRows {
-            id: DatasetId(get_u64(buf)?),
+            id: DatasetId(get_u64(buf, "dataset id")?),
             predicate: get_predicate(buf)?,
         },
         3 => LakeUpdate::DropDataset {
-            id: DatasetId(get_u64(buf)?),
+            id: DatasetId(get_u64(buf, "dataset id")?),
         },
         other => return Err(LakeError::Corrupt(format!("unknown update tag {other}"))),
     })
@@ -460,20 +361,20 @@ pub fn put_applied(buf: &mut BytesMut, applied: &AppliedUpdate) {
 
 /// Read one [`AppliedUpdate`].
 pub fn get_applied(buf: &mut Bytes) -> Result<AppliedUpdate> {
-    Ok(match get_tag(buf, "applied-update tag")? {
+    Ok(match get_u8(buf, "applied-update tag")? {
         0 => AppliedUpdate::Added {
-            id: DatasetId(get_u64(buf)?),
+            id: DatasetId(get_u64(buf, "dataset id")?),
         },
         1 => AppliedUpdate::Appended {
-            id: DatasetId(get_u64(buf)?),
-            rows: get_usize(buf)?,
+            id: DatasetId(get_u64(buf, "dataset id")?),
+            rows: get_usize(buf, "applied row count")?,
         },
         2 => AppliedUpdate::Deleted {
-            id: DatasetId(get_u64(buf)?),
-            rows: get_usize(buf)?,
+            id: DatasetId(get_u64(buf, "dataset id")?),
+            rows: get_usize(buf, "applied row count")?,
         },
         3 => AppliedUpdate::Dropped {
-            id: DatasetId(get_u64(buf)?),
+            id: DatasetId(get_u64(buf, "dataset id")?),
         },
         other => {
             return Err(LakeError::Corrupt(format!(
@@ -494,17 +395,22 @@ pub fn put_interner(buf: &mut BytesMut, interner: &SchemaInterner) {
 
 /// Read a [`SchemaInterner`] with the original symbol assignment.
 pub fn get_interner(buf: &mut Bytes) -> Result<SchemaInterner> {
-    expect_len(buf, 4, "interner length")?;
-    let len = buf.get_u32_le() as usize;
+    let len = get_count(buf, 4, "interner")?;
     let mut interner = SchemaInterner::new();
-    for expected in 0..len as u32 {
-        let name = get_str(buf)?;
-        let id = interner.intern(&name);
-        if id != expected {
+    intern_names(buf, &mut interner, len)?;
+    Ok(interner)
+}
+
+/// Re-intern `count` names in order, each of which must take the next dense
+/// symbol id.
+fn intern_names(buf: &mut Bytes, interner: &mut SchemaInterner, count: usize) -> Result<()> {
+    for _ in 0..count {
+        let expected = interner.len() as u32;
+        if interner.intern(&get_str(buf, "interner symbol")?) != expected {
             return Err(LakeError::Corrupt("duplicate interner symbol".into()));
         }
     }
-    Ok(interner)
+    Ok(())
 }
 
 /// Append a [`HashJoinCache`]: every populated `(build dataset, column set)`
@@ -515,48 +421,47 @@ pub fn get_interner(buf: &mut Bytes) -> Result<SchemaInterner> {
 pub fn put_join_cache(buf: &mut BytesMut, cache: &HashJoinCache) {
     let entries = cache.export_entries();
     buf.put_u32_le(entries.len() as u32);
-    for ((build_id, generation, cols), multiset) in entries {
-        buf.put_u64_le(build_id);
-        buf.put_u64_le(generation);
-        buf.put_u32_le(cols.len() as u32);
-        for c in &cols {
-            put_str(buf, c);
-        }
-        let mut rows: Vec<(RowHash, usize)> = multiset.iter().map(|(&h, &n)| (h, n)).collect();
-        rows.sort_unstable();
-        buf.put_u64_le(rows.len() as u64);
-        for (hash, n) in rows {
-            buf.put_u64_le(hash.0 as u64);
-            buf.put_u64_le((hash.0 >> 64) as u64);
-            put_usize(buf, n);
-        }
+    for (key, multiset) in &entries {
+        put_cache_key(buf, key);
+        put_multiset(buf, multiset);
     }
+}
+
+/// Append one cache multiset: the row count as a `u64`, then every
+/// `(hash lo, hash hi, count)` triple in sorted order.
+fn put_multiset(buf: &mut BytesMut, multiset: &RowHashMap<usize>) {
+    let mut rows: Vec<(RowHash, usize)> = multiset.iter().map(|(&h, &n)| (h, n)).collect();
+    rows.sort_unstable();
+    buf.put_u64_le(rows.len() as u64);
+    for (hash, n) in rows {
+        buf.put_u64_le(hash.0 as u64);
+        buf.put_u64_le((hash.0 >> 64) as u64);
+        put_usize(buf, n);
+    }
+}
+
+/// Read one cache multiset. Its `u64` row count is capped like every other
+/// count: each entry is 24 bytes on the wire.
+fn get_multiset(buf: &mut Bytes) -> Result<RowHashMap<usize>> {
+    let rows = get_u64(buf, "join cache multiset")?;
+    let rows = check_count(buf, rows, 24, "join cache multiset")?;
+    let mut multiset = RowHashMap::with_capacity_and_hasher(rows, Default::default());
+    for _ in 0..rows {
+        let mut entry = get_raw(buf, 24, "join cache multiset entry")?;
+        let lo = entry.get_u64_le() as u128;
+        let hi = entry.get_u64_le() as u128;
+        multiset.insert(RowHash(lo | (hi << 64)), entry.get_u64_le() as usize);
+    }
+    Ok(multiset)
 }
 
 /// Read a [`HashJoinCache`].
 pub fn get_join_cache(buf: &mut Bytes) -> Result<HashJoinCache> {
-    expect_len(buf, 4, "join cache length")?;
-    let len = buf.get_u32_le() as usize;
+    let len = get_count(buf, 28, "join cache")?;
     let cache = HashJoinCache::new();
     for _ in 0..len {
-        let build_id = get_u64(buf)?;
-        let generation = get_u64(buf)?;
-        expect_len(buf, 4, "join cache column count")?;
-        let col_count = buf.get_u32_le() as usize;
-        let mut cols = Vec::with_capacity(col_count.min(1024));
-        for _ in 0..col_count {
-            cols.push(get_str(buf)?);
-        }
-        let rows = get_u64(buf)? as usize;
-        let mut multiset = RowHashMap::with_capacity_and_hasher(rows, Default::default());
-        for _ in 0..rows {
-            expect_len(buf, 24, "join cache multiset entry")?;
-            let lo = buf.get_u64_le() as u128;
-            let hi = buf.get_u64_le() as u128;
-            let n = buf.get_u64_le() as usize;
-            multiset.insert(RowHash(lo | (hi << 64)), n);
-        }
-        cache.restore_entry((build_id, generation, cols), multiset);
+        let key = get_cache_key(buf)?;
+        cache.restore_entry(key, get_multiset(buf)?);
     }
     Ok(cache)
 }
@@ -567,44 +472,51 @@ pub fn get_join_cache(buf: &mut Bytes) -> Result<HashJoinCache> {
 pub fn put_lake(buf: &mut BytesMut, lake: &DataLake) {
     buf.put_u32_le(lake.len() as u32);
     for entry in lake.iter() {
-        buf.put_u64_le(entry.id.0);
-        put_str(buf, &entry.name);
-        put_partitioned(buf, &entry.data);
-        buf.put_u64_le(entry.generation);
-        put_access_profile(buf, &entry.access);
-        put_lineage(buf, &entry.lineage);
+        put_lake_entry(buf, entry);
     }
     buf.put_u64_le(lake.next_id());
     put_count_map(buf, &lake.access_log().counts());
     put_op_counts(buf, &lake.meter().snapshot());
 }
 
+/// Append one catalog entry: id, name, partitioned data, content
+/// generation, access profile and lineage.
+fn put_lake_entry(buf: &mut BytesMut, entry: &DatasetEntry) {
+    buf.put_u64_le(entry.id.0);
+    put_str(buf, &entry.name);
+    put_partitioned(buf, &entry.data);
+    buf.put_u64_le(entry.generation);
+    put_access_profile(buf, &entry.access);
+    put_lineage(buf, &entry.lineage);
+}
+
+/// Read one catalog entry into `lake`. Restored pages stay lazy; the lake's
+/// own meter records skips and any later materialization so benches can
+/// prove what a restore actually touched.
+fn get_lake_entry(buf: &mut Bytes, lake: &mut DataLake) -> Result<()> {
+    let id = DatasetId(get_u64(buf, "dataset id")?);
+    let name = get_str(buf, "dataset name")?;
+    let data = get_partitioned_with(buf, lake.meter())?;
+    lake.restore_entry(DatasetEntry {
+        id,
+        name,
+        data: Arc::new(data),
+        generation: get_u64(buf, "dataset generation")?,
+        access: get_access_profile(buf)?,
+        lineage: get_lineage(buf)?,
+    });
+    Ok(())
+}
+
 /// Read a whole [`DataLake`]. The restored lake's fresh meter is seeded with
 /// the saved totals; decoding itself is not metered.
 pub fn get_lake(buf: &mut Bytes) -> Result<DataLake> {
-    expect_len(buf, 4, "lake dataset count")?;
-    let len = buf.get_u32_le() as usize;
+    let len = get_count(buf, 1, "lake datasets")?;
     let mut lake = DataLake::new();
     for _ in 0..len {
-        let id = DatasetId(get_u64(buf)?);
-        let name = get_str(buf)?;
-        // Restored pages stay lazy; the lake's own meter records skips and
-        // any later materialization so benches can prove what a restore
-        // actually touched.
-        let data = get_partitioned_with(buf, lake.meter())?;
-        let generation = get_u64(buf)?;
-        let access = get_access_profile(buf)?;
-        let lineage = get_lineage(buf)?;
-        lake.restore_entry(DatasetEntry {
-            id,
-            name,
-            data: Arc::new(data),
-            generation,
-            access,
-            lineage,
-        });
+        get_lake_entry(buf, &mut lake)?;
     }
-    lake.set_next_id(get_u64(buf)?);
+    lake.set_next_id(get_u64(buf, "next dataset id")?);
     lake.restore_access_counts(get_count_map(buf)?);
     lake.meter().add_counts(&get_op_counts(buf)?);
     Ok(lake)
@@ -645,14 +557,12 @@ fn put_cache_key(buf: &mut BytesMut, (build_id, generation, cols): &CacheKey) {
 }
 
 fn get_cache_key(buf: &mut Bytes) -> Result<CacheKey> {
-    let build_id = get_u64(buf)?;
-    let generation = get_u64(buf)?;
-    expect_len(buf, 4, "cache key column count")?;
-    let col_count = buf.get_u32_le() as usize;
-    let mut cols = Vec::with_capacity(col_count.min(1024));
-    for _ in 0..col_count {
-        cols.push(get_str(buf)?);
-    }
+    let build_id = get_u64(buf, "cache key dataset")?;
+    let generation = get_u64(buf, "cache key generation")?;
+    let col_count = get_count(buf, 4, "cache key columns")?;
+    let cols = (0..col_count)
+        .map(|_| get_str(buf, "cache key column"))
+        .collect::<Result<_>>()?;
     Ok((build_id, generation, cols))
 }
 
@@ -677,39 +587,21 @@ pub fn put_join_cache_delta(buf: &mut BytesMut, cache: &HashJoinCache, base_keys
     buf.put_u32_le(added.len() as u32);
     for (key, multiset) in added {
         put_cache_key(buf, key);
-        let mut rows: Vec<(RowHash, usize)> = multiset.iter().map(|(&h, &n)| (h, n)).collect();
-        rows.sort_unstable();
-        buf.put_u64_le(rows.len() as u64);
-        for (hash, n) in rows {
-            buf.put_u64_le(hash.0 as u64);
-            buf.put_u64_le((hash.0 >> 64) as u64);
-            put_usize(buf, n);
-        }
+        put_multiset(buf, multiset);
     }
 }
 
 /// Apply a [`put_join_cache_delta`] section on top of the base generation's
 /// restored cache: removals first, then added entries.
 pub fn apply_join_cache_delta(buf: &mut Bytes, cache: &HashJoinCache) -> Result<()> {
-    expect_len(buf, 4, "cache delta removed count")?;
-    let removed = buf.get_u32_le() as usize;
+    let removed = get_count(buf, 20, "cache delta removals")?;
     for _ in 0..removed {
         cache.remove_entry(&get_cache_key(buf)?);
     }
-    expect_len(buf, 4, "cache delta added count")?;
-    let added = buf.get_u32_le() as usize;
+    let added = get_count(buf, 28, "cache delta additions")?;
     for _ in 0..added {
         let key = get_cache_key(buf)?;
-        let rows = get_u64(buf)? as usize;
-        let mut multiset = RowHashMap::with_capacity_and_hasher(rows, Default::default());
-        for _ in 0..rows {
-            expect_len(buf, 24, "cache delta multiset entry")?;
-            let lo = buf.get_u64_le() as u128;
-            let hi = buf.get_u64_le() as u128;
-            let n = buf.get_u64_le() as usize;
-            multiset.insert(RowHash(lo | (hi << 64)), n);
-        }
-        cache.restore_entry(key, multiset);
+        cache.restore_entry(key, get_multiset(buf)?);
     }
     Ok(())
 }
@@ -754,12 +646,7 @@ pub fn put_lake_delta(
         .collect();
     buf.put_u32_le(dirty.len() as u32);
     for entry in dirty {
-        buf.put_u64_le(entry.id.0);
-        put_str(buf, &entry.name);
-        put_partitioned(buf, &entry.data);
-        buf.put_u64_le(entry.generation);
-        put_access_profile(buf, &entry.access);
-        put_lineage(buf, &entry.lineage);
+        put_lake_entry(buf, entry);
     }
     buf.put_u64_le(lake.next_id());
     put_count_map(buf, &lake.access_log().counts());
@@ -776,32 +663,17 @@ pub fn put_lake_delta(
 /// the process-local page counters — zeroed on the wire, but charged live by
 /// the lazy decodes above — saturate to a zero gap instead of underflowing.
 pub fn apply_lake_delta(buf: &mut Bytes, lake: &mut DataLake) -> Result<()> {
-    expect_len(buf, 4, "lake delta dropped count")?;
-    let dropped = buf.get_u32_le() as usize;
+    let dropped = get_count(buf, 8, "lake delta drops")?;
     for _ in 0..dropped {
-        let id = DatasetId(get_u64(buf)?);
+        let id = DatasetId(get_u64(buf, "dropped dataset id")?);
         lake.remove_dataset(id)
             .map_err(|_| LakeError::Corrupt(format!("lake delta drops unknown dataset {id}")))?;
     }
-    expect_len(buf, 4, "lake delta dirty count")?;
-    let dirty = buf.get_u32_le() as usize;
+    let dirty = get_count(buf, 1, "lake delta entries")?;
     for _ in 0..dirty {
-        let id = DatasetId(get_u64(buf)?);
-        let name = get_str(buf)?;
-        let data = get_partitioned_with(buf, lake.meter())?;
-        let generation = get_u64(buf)?;
-        let access = get_access_profile(buf)?;
-        let lineage = get_lineage(buf)?;
-        lake.restore_entry(DatasetEntry {
-            id,
-            name,
-            data: Arc::new(data),
-            generation,
-            access,
-            lineage,
-        });
+        get_lake_entry(buf, lake)?;
     }
-    lake.set_next_id(get_u64(buf)?);
+    lake.set_next_id(get_u64(buf, "next dataset id")?);
     lake.restore_access_counts(get_count_map(buf)?);
     let saved = get_op_counts(buf)?;
     let gap = saved.since(&lake.meter().snapshot().without_page_counters());
@@ -826,23 +698,15 @@ pub fn put_interner_tail(buf: &mut BytesMut, interner: &SchemaInterner, base_len
 /// Apply a [`put_interner_tail`] section: verify the base length matches,
 /// then re-intern the tail names so they take their original dense ids.
 pub fn apply_interner_tail(buf: &mut Bytes, interner: &mut SchemaInterner) -> Result<()> {
-    let base_len = get_usize(buf)?;
+    let base_len = get_usize(buf, "interner tail base")?;
     if interner.len() != base_len {
         return Err(LakeError::Corrupt(format!(
             "interner tail expects base length {base_len}, found {}",
             interner.len()
         )));
     }
-    expect_len(buf, 4, "interner tail length")?;
-    let added = buf.get_u32_le() as usize;
-    for offset in 0..added as u32 {
-        let name = get_str(buf)?;
-        let id = interner.intern(&name);
-        if id != base_len as u32 + offset {
-            return Err(LakeError::Corrupt("duplicate interner symbol".into()));
-        }
-    }
-    Ok(())
+    let added = get_count(buf, 4, "interner tail")?;
+    intern_names(buf, interner, added)
 }
 
 #[cfg(test)]
@@ -851,6 +715,7 @@ mod tests {
     use crate::column::Column;
     use crate::datatype::DataType;
     use crate::schema::Schema;
+    use crate::value::Value;
 
     fn table(ids: std::ops::Range<i64>) -> Table {
         let schema = Schema::flat(&[("id", DataType::Int), ("v", DataType::Float)]).unwrap();
@@ -1260,6 +1125,27 @@ mod tests {
         assert!(apply_interner_tail(&mut tail.clone(), &mut too_long).is_err());
     }
 
+    /// An inflated multiset row count is a typed error in both the full and
+    /// the delta cache decoder, never an allocation sized off the count.
+    #[test]
+    fn inflated_multiset_row_counts_are_rejected_before_allocating() {
+        let mut key = BytesMut::new();
+        put_cache_key(&mut key, &(1, 0, vec!["id".into()]));
+        key.put_u64_le(1 << 40);
+        let key = key.freeze();
+        let mut full = BytesMut::new();
+        full.put_u32_le(1);
+        full.put_slice(&key);
+        assert!(get_join_cache(&mut full.freeze()).is_err());
+        let mut delta = BytesMut::new();
+        delta.put_u32_le(0);
+        delta.put_u32_le(1);
+        delta.put_slice(&key);
+        let cache = HashJoinCache::new();
+        assert!(apply_join_cache_delta(&mut delta.freeze(), &cache).is_err());
+        assert_eq!(cache.len(), 0);
+    }
+
     #[test]
     fn corrupt_inputs_are_clean_errors() {
         let mut buf = BytesMut::new();
@@ -1267,7 +1153,7 @@ mod tests {
         let bytes = buf.freeze();
         // Truncated string payload.
         let mut short = bytes.slice(0..bytes.len() - 2);
-        assert!(get_str(&mut short).is_err());
+        assert!(get_str(&mut short, "string").is_err());
         // Unknown tags.
         let mut bad_tag = Bytes::from(vec![9u8]);
         assert!(get_predicate(&mut bad_tag).is_err());

@@ -83,6 +83,10 @@ use crate::sketch::ColumnSketch;
 use crate::stats::ColumnStats;
 use crate::table::Table;
 use crate::value::Value;
+use crate::wire::{
+    check_count, get_bytes, get_count, get_f64, get_i64, get_opt, get_raw, get_str, get_u32,
+    get_u64, get_u8, put_bytes, put_opt, put_str,
+};
 use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::collections::HashMap;
 use std::fs;
@@ -106,10 +110,7 @@ pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {
                 Value::Int(i) => buf.put_i64_le(*i),
                 Value::Float(f) => buf.put_f64_le(*f),
                 Value::Timestamp(t) => buf.put_i64_le(*t),
-                Value::Str(s) => {
-                    buf.put_u32_le(s.len() as u32);
-                    buf.put_slice(s.as_bytes());
-                }
+                Value::Str(s) => put_str(buf, s),
                 Value::Null => unreachable!(),
             }
         }
@@ -117,79 +118,17 @@ pub(crate) fn put_value(buf: &mut BytesMut, v: &Value) {
 }
 
 pub(crate) fn get_value(buf: &mut Bytes) -> Result<Value> {
-    if buf.remaining() < 1 {
-        return Err(LakeError::Corrupt("truncated value".into()));
-    }
-    let flag = buf.get_u8();
-    if flag == VAL_NULL {
+    if get_u8(buf, "value")? == VAL_NULL {
         return Ok(Value::Null);
     }
-    if buf.remaining() < 1 {
-        return Err(LakeError::Corrupt("truncated value tag".into()));
-    }
-    let tag = buf.get_u8();
-    Ok(match tag {
-        b'b' => {
-            if buf.remaining() < 1 {
-                return Err(LakeError::Corrupt("truncated bool".into()));
-            }
-            Value::Bool(buf.get_u8() != 0)
-        }
-        b'i' => {
-            if buf.remaining() < 8 {
-                return Err(LakeError::Corrupt("truncated int".into()));
-            }
-            Value::Int(buf.get_i64_le())
-        }
-        b'f' => {
-            if buf.remaining() < 8 {
-                return Err(LakeError::Corrupt("truncated float".into()));
-            }
-            Value::Float(buf.get_f64_le())
-        }
-        b't' => {
-            if buf.remaining() < 8 {
-                return Err(LakeError::Corrupt("truncated timestamp".into()));
-            }
-            Value::Timestamp(buf.get_i64_le())
-        }
-        b'u' => {
-            if buf.remaining() < 4 {
-                return Err(LakeError::Corrupt("truncated string length".into()));
-            }
-            let len = buf.get_u32_le() as usize;
-            if buf.remaining() < len {
-                return Err(LakeError::Corrupt("truncated string".into()));
-            }
-            let bytes = buf.copy_to_bytes(len);
-            Value::Str(
-                String::from_utf8(bytes.to_vec())
-                    .map_err(|_| LakeError::Corrupt("invalid utf8".into()))?,
-            )
-        }
+    Ok(match get_u8(buf, "value tag")? {
+        b'b' => Value::Bool(get_u8(buf, "bool")? != 0),
+        b'i' => Value::Int(get_i64(buf, "int")?),
+        b'f' => Value::Float(get_f64(buf, "float")?),
+        b't' => Value::Timestamp(get_i64(buf, "timestamp")?),
+        b'u' => Value::Str(get_str(buf, "string")?),
         other => return Err(LakeError::Corrupt(format!("unknown value tag {other}"))),
     })
-}
-
-pub(crate) fn put_opt_value(buf: &mut BytesMut, v: &Option<Value>) {
-    match v {
-        None => buf.put_u8(0),
-        Some(v) => {
-            buf.put_u8(1);
-            put_value(buf, v);
-        }
-    }
-}
-
-pub(crate) fn get_opt_value(buf: &mut Bytes) -> Result<Option<Value>> {
-    if buf.remaining() < 1 {
-        return Err(LakeError::Corrupt("truncated optional value".into()));
-    }
-    if buf.get_u8() == 0 {
-        Ok(None)
-    } else {
-        Ok(Some(get_value(buf)?))
-    }
 }
 
 /// Column page layout bytes.
@@ -238,10 +177,7 @@ fn encode_page(col: &Column) -> BytesMut {
             Value::Bool(b) => page.put_u8(*b as u8),
             Value::Int(i) | Value::Timestamp(i) => page.put_i64_le(*i),
             Value::Float(f) => page.put_f64_le(*f),
-            Value::Str(s) => {
-                page.put_u32_le(s.len() as u32);
-                page.put_slice(s.as_bytes());
-            }
+            Value::Str(s) => put_str(&mut page, s),
         }
     }
     page
@@ -279,8 +215,7 @@ fn try_encode_dict_page(values: &[Value], bitmap: &[u8]) -> Option<BytesMut> {
     page.put_slice(bitmap);
     page.put_u32_le(dict.len() as u32);
     for s in &dict {
-        page.put_u32_le(s.len() as u32);
-        page.put_slice(s.as_bytes());
+        put_str(&mut page, s);
     }
     for code in codes {
         page.put_u32_le(code);
@@ -292,24 +227,16 @@ fn try_encode_dict_page(values: &[Value], bitmap: &[u8]) -> Option<BytesMut> {
 /// retained page bytes verbatim (a decode → encode round trip is
 /// bit-identical without materializing anything).
 fn put_column(buf: &mut BytesMut, col: &Column) {
-    if let Some(page) = col.lazy_page() {
-        buf.put_u32_le(page.len() as u32);
-        buf.put_slice(page);
-        return;
+    match col.lazy_page() {
+        Some(page) => put_bytes(buf, page),
+        None => put_bytes(buf, &encode_page(col).freeze()),
     }
-    let page = encode_page(col).freeze();
-    buf.put_u32_le(page.len() as u32);
-    buf.put_slice(&page);
 }
 
 /// Read the presence bitmap of a packed/dict column page, returning it
 /// together with the number of non-null values it declares.
 fn get_presence(buf: &mut Bytes, rows: usize) -> Result<(Bytes, usize)> {
-    let bitmap_len = rows.div_ceil(8);
-    if buf.remaining() < bitmap_len {
-        return Err(LakeError::Corrupt("truncated presence bitmap".into()));
-    }
-    let bitmap = buf.copy_to_bytes(bitmap_len);
+    let bitmap = get_raw(buf, rows.div_ceil(8), "presence bitmap")?;
     let mut present = 0usize;
     for i in 0..rows {
         present += ((bitmap[i / 8] >> (i % 8)) & 1) as usize;
@@ -350,15 +277,13 @@ pub(crate) fn decode_page(page: &Bytes, dt: DataType, rows: usize) -> Result<Vec
 }
 
 fn decode_page_values(buf: &mut Bytes, dt: DataType, rows: usize) -> Result<Vec<Value>> {
-    if buf.remaining() < 1 {
-        return Err(LakeError::Corrupt("truncated column layout".into()));
-    }
-    let layout = buf.get_u8();
+    let layout = get_u8(buf, "column layout")?;
     if layout == LAYOUT_TAGGED {
         // Every tagged value costs at least one byte, so a hostile row count
         // can never pre-size the vector past the page itself (fuzz finding:
         // an inflated group header must not become an OOM-sized allocation).
-        let mut values = Vec::with_capacity(rows.min(buf.remaining()));
+        let rows = check_count(buf, rows as u64, 1, "tagged column page")?;
+        let mut values = Vec::with_capacity(rows);
         for _ in 0..rows {
             let v = get_value(buf)?;
             if !v.is_null() {
@@ -404,10 +329,7 @@ fn decode_page_values(buf: &mut Bytes, dt: DataType, rows: usize) -> Result<Vec<
             values.resize(rows, Value::Null);
         }
         DataType::Bool => {
-            if buf.remaining() < count {
-                return Err(LakeError::Corrupt("truncated bool page".into()));
-            }
-            let raw = buf.copy_to_bytes(count);
+            let raw = get_raw(buf, count, "bool page")?;
             let mut next = raw.iter();
             for i in 0..rows {
                 values.push(if present(&bitmap, i) {
@@ -421,10 +343,7 @@ fn decode_page_values(buf: &mut Bytes, dt: DataType, rows: usize) -> Result<Vec<
             }
         }
         DataType::Int | DataType::Timestamp => {
-            if buf.remaining() < count * 8 {
-                return Err(LakeError::Corrupt("truncated int page".into()));
-            }
-            let raw = buf.copy_to_bytes(count * 8);
+            let raw = get_raw(buf, count * 8, "int page")?;
             let mut chunks = raw.chunks_exact(8);
             for i in 0..rows {
                 values.push(if present(&bitmap, i) {
@@ -440,10 +359,7 @@ fn decode_page_values(buf: &mut Bytes, dt: DataType, rows: usize) -> Result<Vec<
             }
         }
         DataType::Float => {
-            if buf.remaining() < count * 8 {
-                return Err(LakeError::Corrupt("truncated float page".into()));
-            }
-            let raw = buf.copy_to_bytes(count * 8);
+            let raw = get_raw(buf, count * 8, "float page")?;
             let mut chunks = raw.chunks_exact(8);
             for i in 0..rows {
                 values.push(if present(&bitmap, i) {
@@ -455,22 +371,11 @@ fn decode_page_values(buf: &mut Bytes, dt: DataType, rows: usize) -> Result<Vec<
         }
         DataType::Utf8 => {
             for i in 0..rows {
-                if present(&bitmap, i) {
-                    if buf.remaining() < 4 {
-                        return Err(LakeError::Corrupt("truncated string length".into()));
-                    }
-                    let len = buf.get_u32_le() as usize;
-                    if buf.remaining() < len {
-                        return Err(LakeError::Corrupt("truncated string".into()));
-                    }
-                    let raw = buf.copy_to_bytes(len);
-                    values.push(Value::Str(
-                        String::from_utf8(raw.to_vec())
-                            .map_err(|_| LakeError::Corrupt("invalid utf8".into()))?,
-                    ));
+                values.push(if present(&bitmap, i) {
+                    Value::Str(get_str(buf, "string")?)
                 } else {
-                    values.push(Value::Null);
-                }
+                    Value::Null
+                });
             }
         }
     }
@@ -482,32 +387,12 @@ fn decode_page_values(buf: &mut Bytes, dt: DataType, rows: usize) -> Result<Vec<
 /// per present row.
 fn decode_dict_page(buf: &mut Bytes, rows: usize) -> Result<Vec<Value>> {
     let (bitmap, count) = get_presence(buf, rows)?;
-    if buf.remaining() < 4 {
-        return Err(LakeError::Corrupt("truncated dictionary count".into()));
-    }
-    let dict_count = buf.get_u32_le() as usize;
-    let mut dict: Vec<String> = Vec::with_capacity(dict_count.min(4096));
+    let dict_count = get_count(buf, 4, "dictionary")?;
+    let mut dict = Vec::with_capacity(dict_count);
     for _ in 0..dict_count {
-        if buf.remaining() < 4 {
-            return Err(LakeError::Corrupt(
-                "truncated dictionary entry length".into(),
-            ));
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len {
-            return Err(LakeError::Corrupt("truncated dictionary entry".into()));
-        }
-        let raw = buf.copy_to_bytes(len);
-        dict.push(
-            String::from_utf8(raw.to_vec())
-                .map_err(|_| LakeError::Corrupt("invalid utf8 in dictionary".into()))?,
-        );
+        dict.push(get_str(buf, "dictionary entry")?);
     }
-    if buf.remaining() < count * 4 {
-        return Err(LakeError::Corrupt(
-            "truncated dictionary code vector".into(),
-        ));
-    }
+    check_count(buf, count as u64, 4, "dictionary code vector")?;
     let mut values = Vec::with_capacity(rows);
     for i in 0..rows {
         values.push(if present(&bitmap, i) {
@@ -596,9 +481,13 @@ pub struct FooterStats {
     pub table_section: TableFooterStats,
 }
 
+/// Fixed-width tail of a footer entry: null, distinct and mem-bytes counts,
+/// the sketch words, the signature minima and its cardinality.
+const FOOTER_FIXED_BYTES: usize = 24 + ColumnSketch::WORD_COUNT * 8 + (SIGNATURE_K + 1) * 8;
+
 fn put_footer_stats(buf: &mut BytesMut, stats: &ColumnFooterStats) {
-    put_opt_value(buf, &stats.min);
-    put_opt_value(buf, &stats.max);
+    put_opt(buf, &stats.min, put_value);
+    put_opt(buf, &stats.max, put_value);
     buf.put_u64_le(stats.null_count);
     buf.put_u64_le(stats.distinct_count);
     buf.put_u64_le(stats.mem_bytes);
@@ -617,11 +506,9 @@ fn put_footer_stats(buf: &mut BytesMut, stats: &ColumnFooterStats) {
 }
 
 fn get_footer_stats(buf: &mut Bytes) -> Result<ColumnFooterStats> {
-    let min = get_opt_value(buf)?;
-    let max = get_opt_value(buf)?;
-    if buf.remaining() < 24 + ColumnSketch::WORD_COUNT * 8 + (SIGNATURE_K + 1) * 8 {
-        return Err(LakeError::Corrupt("truncated footer stats".into()));
-    }
+    let min = get_opt(buf, "footer min", get_value)?;
+    let max = get_opt(buf, "footer max", get_value)?;
+    let mut buf = get_raw(buf, FOOTER_FIXED_BYTES, "footer stats")?;
     let null_count = buf.get_u64_le();
     let distinct_count = buf.get_u64_le();
     let mem_bytes = buf.get_u64_le();
@@ -666,8 +553,7 @@ pub fn encode(table: &PartitionedTable) -> Bytes {
     let schema = table.schema();
     buf.put_u32_le(schema.len() as u32);
     for f in schema.fields() {
-        buf.put_u32_le(f.name.len() as u32);
-        buf.put_slice(f.name.as_bytes());
+        put_str(&mut buf, &f.name);
         buf.put_u8(f.data_type.tag());
     }
 
@@ -685,8 +571,7 @@ pub fn encode(table: &PartitionedTable) -> Bytes {
     let footer_offset = buf.len() as u64;
     for part in table.partitions() {
         for (f, col) in schema.fields().iter().zip(part.columns()) {
-            buf.put_u32_le(f.name.len() as u32);
-            buf.put_slice(f.name.as_bytes());
+            put_str(&mut buf, &f.name);
             put_footer_stats(
                 &mut buf,
                 &ColumnFooterStats::from_stats(col.stats(), col.byte_size() as u64),
@@ -695,20 +580,16 @@ pub fn encode(table: &PartitionedTable) -> Bytes {
     }
     buf.put_u8(table.table_distinct_exact() as u8);
     for (ci, f) in schema.fields().iter().enumerate() {
-        match table.table_stats().get(&f.name) {
-            Some(stats) => {
-                let mem_bytes: u64 = table
-                    .partitions()
-                    .iter()
-                    .map(|p| p.columns()[ci].byte_size() as u64)
-                    .sum();
-                buf.put_u8(1);
-                put_footer_stats(&mut buf, &ColumnFooterStats::from_stats(stats, mem_bytes));
-            }
-            // A column can lack table-level stats only in degenerate
-            // hand-assembled tables; record the absence explicitly.
-            None => buf.put_u8(0),
-        }
+        // A column can lack table-level stats only in degenerate
+        // hand-assembled tables; the presence byte records the absence.
+        put_opt(&mut buf, &table.table_stats().get(&f.name), |buf, stats| {
+            let mem_bytes: u64 = table
+                .partitions()
+                .iter()
+                .map(|p| p.columns()[ci].byte_size() as u64)
+                .sum();
+            put_footer_stats(buf, &ColumnFooterStats::from_stats(stats, mem_bytes));
+        });
     }
     buf.put_u64_le(footer_offset);
     buf.put_slice(MAGIC);
@@ -735,24 +616,22 @@ fn check_magic_and_version(bytes: &[u8]) -> Result<()> {
     Ok(())
 }
 
+/// Read the schema and the row group count after the (already validated)
+/// magic and version, returning them with the cursor at the first row group.
+fn decode_header(bytes: &Bytes) -> Result<(Bytes, Schema, usize)> {
+    let mut buf = bytes.slice(12..);
+    let schema = decode_schema(&mut buf)?;
+    // Every row group spends at least its 8-byte row count.
+    let group_count = get_count(&mut buf, 8, "row groups")?;
+    Ok((buf, schema, group_count))
+}
+
 fn decode_schema(buf: &mut Bytes) -> Result<Schema> {
-    if buf.remaining() < 4 {
-        return Err(LakeError::Corrupt("truncated schema".into()));
-    }
-    let field_count = buf.get_u32_le() as usize;
-    let mut fields = Vec::with_capacity(field_count.min(4096));
+    let field_count = get_count(buf, 5, "schema")?;
+    let mut fields = Vec::with_capacity(field_count);
     for _ in 0..field_count {
-        if buf.remaining() < 4 {
-            return Err(LakeError::Corrupt("truncated schema".into()));
-        }
-        let len = buf.get_u32_le() as usize;
-        if buf.remaining() < len + 1 {
-            return Err(LakeError::Corrupt("truncated schema name".into()));
-        }
-        let name_bytes = buf.copy_to_bytes(len);
-        let name = String::from_utf8(name_bytes.to_vec())
-            .map_err(|_| LakeError::Corrupt("invalid schema utf8".into()))?;
-        let dt = DataType::from_tag(buf.get_u8())
+        let name = get_str(buf, "schema name")?;
+        let dt = DataType::from_tag(get_u8(buf, "schema type")?)
             .ok_or_else(|| LakeError::Corrupt("unknown type tag".into()))?;
         fields.push(Field::new(name, dt));
     }
@@ -775,7 +654,7 @@ fn parse_footer_entries(
         return Err(LakeError::Corrupt("footer offset out of range".into()));
     }
     let mut footer = bytes.slice(footer_offset..tail_start);
-    let mut groups = Vec::with_capacity(group_count.min(4096));
+    let mut groups = Vec::with_capacity(group_count);
     for _ in 0..group_count {
         let mut cols = Vec::with_capacity(schema.len());
         // Validate each entry's column name against the schema in place:
@@ -784,32 +663,18 @@ fn parse_footer_entries(
         // restore this loop runs per column per row group across the whole
         // lake, where per-name allocations dominate the decode cost.
         for f in schema.fields() {
-            if footer.remaining() < 4 {
-                return Err(LakeError::Corrupt("truncated footer".into()));
-            }
-            let len = footer.get_u32_le() as usize;
-            if footer.remaining() < len {
-                return Err(LakeError::Corrupt("truncated footer name".into()));
-            }
-            let name_bytes = footer.copy_to_bytes(len);
-            if &name_bytes[..] != f.name.as_bytes() {
+            if get_bytes(&mut footer, "footer name")?[..] != *f.name.as_bytes() {
                 return Err(LakeError::Corrupt("footer/schema column mismatch".into()));
             }
             cols.push(get_footer_stats(&mut footer)?);
         }
         groups.push(cols);
     }
-    if footer.remaining() < 1 {
-        return Err(LakeError::Corrupt("truncated table-level footer".into()));
-    }
-    let distinct_exact = footer.get_u8() == 1;
+    let distinct_exact = get_u8(&mut footer, "table-level footer")? == 1;
     let mut table_stats = Vec::with_capacity(schema.len());
     for f in schema.fields() {
-        if footer.remaining() < 1 {
-            return Err(LakeError::Corrupt("truncated table-level footer".into()));
-        }
-        if footer.get_u8() == 1 {
-            table_stats.push((f.name.clone(), get_footer_stats(&mut footer)?));
+        if let Some(stats) = get_opt(&mut footer, "table-level footer", get_footer_stats)? {
+            table_stats.push((f.name.clone(), stats));
         }
     }
     Ok((
@@ -845,27 +710,15 @@ pub(crate) fn decode_with(
 ) -> Result<PartitionedTable> {
     check_magic_and_version(bytes)?;
     io_meter.add_bytes_scanned(bytes.len() as u64);
-    let mut buf = bytes.clone();
-    buf.advance(12); // magic + version (validated above)
-    let schema = decode_schema(&mut buf)?;
-    if buf.remaining() < 4 {
-        return Err(LakeError::Corrupt("truncated row group count".into()));
-    }
-    let group_count = buf.get_u32_le() as usize;
+    let (mut buf, schema, group_count) = decode_header(bytes)?;
     let (footer, table_section, footer_offset) = parse_footer_entries(bytes, &schema, group_count)?;
     let distinct_exact = table_section.distinct_exact;
-    let mut partitions = Vec::with_capacity(group_count.clamp(1, 4096));
+    let mut partitions = Vec::with_capacity(group_count);
     for group_stats in footer.into_iter().take(group_count) {
-        if buf.remaining() < 8 {
-            return Err(LakeError::Corrupt("truncated row group header".into()));
-        }
-        let rows = buf.get_u64_le() as usize;
+        let rows = get_u64(&mut buf, "row group header")? as usize;
         let mut columns = Vec::with_capacity(schema.len());
         for (f, entry) in schema.fields().iter().zip(group_stats) {
-            if buf.remaining() < 4 {
-                return Err(LakeError::Corrupt("truncated column page length".into()));
-            }
-            let page_len = buf.get_u32_le() as usize;
+            let page_len = get_u32(&mut buf, "column page length")? as usize;
             let page_start = bytes.len() - buf.remaining();
             if page_start + page_len > footer_offset {
                 return Err(LakeError::Corrupt(
@@ -921,16 +774,9 @@ pub(crate) fn decode_with(
 /// without inspecting a single page byte.
 pub fn read_footer(bytes: &Bytes, meter: &Meter) -> Result<FooterStats> {
     check_magic_and_version(bytes)?;
-    let mut header = bytes.clone();
-    header.advance(12);
-    let schema = decode_schema(&mut header)?;
-    if header.remaining() < 4 {
-        return Err(LakeError::Corrupt("truncated row group count".into()));
-    }
-    let group_count = header.get_u32_le() as usize;
-
+    let (mut cursor, schema, group_count) = decode_header(bytes)?;
     let (entries, table_section, _) = parse_footer_entries(bytes, &schema, group_count)?;
-    let mut column_stats = Vec::with_capacity(group_count.min(4096));
+    let mut column_stats = Vec::with_capacity(group_count);
     for group in entries {
         let mut per_col = HashMap::with_capacity(schema.len());
         for (f, stats) in schema.fields().iter().zip(group) {
@@ -943,22 +789,11 @@ pub fn read_footer(bytes: &Bytes, meter: &Meter) -> Result<FooterStats> {
 
     // Recover row counts from the group headers, hopping over each column
     // page via its length frame (no page byte is inspected).
-    let mut row_counts = Vec::with_capacity(group_count.min(4096));
-    let mut cursor = header;
+    let mut row_counts = Vec::with_capacity(group_count);
     for _ in 0..group_count {
-        if cursor.remaining() < 8 {
-            return Err(LakeError::Corrupt("truncated row group header".into()));
-        }
-        row_counts.push(cursor.get_u64_le());
+        row_counts.push(get_u64(&mut cursor, "row group header")?);
         for _ in 0..schema.len() {
-            if cursor.remaining() < 4 {
-                return Err(LakeError::Corrupt("truncated column page length".into()));
-            }
-            let page_len = cursor.get_u32_le() as usize;
-            if cursor.remaining() < page_len {
-                return Err(LakeError::Corrupt("truncated column page".into()));
-            }
-            cursor.advance(page_len);
+            get_bytes(&mut cursor, "column page")?;
         }
     }
 
@@ -1170,10 +1005,7 @@ mod tests {
 
     /// Layout byte of every column page in an encoded file.
     fn page_layouts(bytes: &Bytes) -> Vec<u8> {
-        let mut buf = bytes.clone();
-        buf.advance(12);
-        let schema = decode_schema(&mut buf).unwrap();
-        let group_count = buf.get_u32_le() as usize;
+        let (mut buf, schema, group_count) = decode_header(bytes).unwrap();
         let mut layouts = Vec::new();
         for _ in 0..group_count {
             let _rows = buf.get_u64_le();

@@ -28,11 +28,10 @@ use crate::solver::{self, Solution, EXACT_COMPONENT_LIMIT};
 use r2d2_graph::diff::EdgeDelta;
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{DataLake, DatasetId, Result};
-use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Configuration of an [`AdvisorState`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdvisorConfig {
     /// Component-size threshold below which dirty components are re-solved
     /// exactly (see [`EXACT_COMPONENT_LIMIT`]).
@@ -83,7 +82,7 @@ pub enum DatasetChange {
 }
 
 /// What the last [`AdvisorState::advise`] pass did.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ResolveStats {
     /// Weakly connected components of the current pruned problem.
     pub components_total: usize,
@@ -94,7 +93,7 @@ pub struct ResolveStats {
 }
 
 /// Savings summary returned by [`AdvisorState::report`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AdvisorReport {
     /// The current Opt-Ret solution.
     pub solution: Solution,
@@ -493,19 +492,32 @@ impl AdvisorState {
 // ---------------------------------------------------------------------------
 
 use bytes::{Buf, BufMut, Bytes, BytesMut};
-use r2d2_lake::snapshot::{
-    expect_len, get_bool, get_f64, get_tag, get_u64, get_usize, put_bool, put_usize,
+use r2d2_lake::wire::{
+    get_bool, get_count, get_f64, get_raw, get_u64, get_u8, get_usize, put_bool, put_usize,
 };
+use r2d2_lake::LakeError;
+
+/// Smallest encoded cache entry: the key, an empty member list and a
+/// solution of three empty collections plus its cost.
+const MIN_CACHE_ENTRY_BYTES: usize = 8 + 4 + (3 * 4 + 8);
+
+/// Append a counted list of ids (`count u32 | id u64*`).
+fn put_ids(buf: &mut BytesMut, ids: impl ExactSizeIterator<Item = u64>) {
+    buf.put_u32_le(ids.len() as u32);
+    for id in ids {
+        buf.put_u64_le(id);
+    }
+}
+
+/// Read a [`put_ids`] list into any collection.
+fn get_ids<C: FromIterator<u64>>(buf: &mut Bytes, what: &str) -> Result<C> {
+    let len = get_count(buf, 8, what)?;
+    (0..len).map(|_| get_u64(buf, what)).collect()
+}
 
 fn put_solution(buf: &mut BytesMut, s: &Solution) {
-    buf.put_u32_le(s.retained.len() as u32);
-    for &d in &s.retained {
-        buf.put_u64_le(d);
-    }
-    buf.put_u32_le(s.deleted.len() as u32);
-    for &d in &s.deleted {
-        buf.put_u64_le(d);
-    }
+    put_ids(buf, s.retained.iter().copied());
+    put_ids(buf, s.deleted.iter().copied());
     buf.put_u32_le(s.reconstruction_parent.len() as u32);
     for (&child, &parent) in &s.reconstruction_parent {
         buf.put_u64_le(child);
@@ -515,43 +527,67 @@ fn put_solution(buf: &mut BytesMut, s: &Solution) {
 }
 
 fn get_solution(buf: &mut Bytes) -> Result<Solution> {
-    expect_len(buf, 4, "solution retained length")?;
-    let retained_len = buf.get_u32_le() as usize;
-    let mut retained = BTreeSet::new();
-    for _ in 0..retained_len {
-        retained.insert(get_u64(buf)?);
-    }
-    expect_len(buf, 4, "solution deleted length")?;
-    let deleted_len = buf.get_u32_le() as usize;
-    let mut deleted = BTreeSet::new();
-    for _ in 0..deleted_len {
-        deleted.insert(get_u64(buf)?);
-    }
-    expect_len(buf, 4, "solution parent map length")?;
-    let parent_len = buf.get_u32_le() as usize;
+    let retained = get_ids(buf, "solution retained")?;
+    let deleted = get_ids(buf, "solution deleted")?;
+    let parent_len = get_count(buf, 16, "solution parent map")?;
     let mut reconstruction_parent = BTreeMap::new();
     for _ in 0..parent_len {
-        let child = get_u64(buf)?;
-        let parent = get_u64(buf)?;
-        reconstruction_parent.insert(child, parent);
+        let child = get_u64(buf, "solution parent map")?;
+        reconstruction_parent.insert(child, get_u64(buf, "solution parent map")?);
     }
     Ok(Solution {
         retained,
         deleted,
         reconstruction_parent,
-        total_cost: get_f64(buf)?,
+        total_cost: get_f64(buf, "solution cost")?,
+    })
+}
+
+fn put_node(buf: &mut BytesMut, node: &NodeCosts) {
+    buf.put_u64_le(node.dataset);
+    buf.put_u64_le(node.size_bytes);
+    buf.put_f64_le(node.retention_cost);
+    buf.put_f64_le(node.accesses);
+}
+
+fn get_node(buf: &mut Bytes) -> Result<NodeCosts> {
+    let mut raw = get_raw(buf, 32, "advisor node")?;
+    Ok(NodeCosts {
+        dataset: raw.get_u64_le(),
+        size_bytes: raw.get_u64_le(),
+        retention_cost: raw.get_f64_le(),
+        accesses: raw.get_f64_le(),
+    })
+}
+
+fn put_edge(buf: &mut BytesMut, (parent, child): (u64, u64), cost: f64) {
+    buf.put_u64_le(parent);
+    buf.put_u64_le(child);
+    buf.put_f64_le(cost);
+}
+
+fn get_edge(buf: &mut Bytes) -> Result<((u64, u64), f64)> {
+    let mut raw = get_raw(buf, 24, "advisor edge")?;
+    Ok(((raw.get_u64_le(), raw.get_u64_le()), raw.get_f64_le()))
+}
+
+fn put_component(buf: &mut BytesMut, component: &CachedComponent) {
+    put_ids(buf, component.nodes.iter().copied());
+    put_solution(buf, &component.solution);
+}
+
+fn get_component(buf: &mut Bytes) -> Result<CachedComponent> {
+    Ok(CachedComponent {
+        nodes: get_ids(buf, "advisor component")?,
+        solution: get_solution(buf)?,
     })
 }
 
 impl AdvisorState {
-    /// Serialize the complete advisor state — cost model, configuration,
-    /// pruned problem, dirty set, per-component solution cache and the last
-    /// merged solution — so a restored session re-advises without re-solving
-    /// clean components. The encoding is canonical: maps are walked in key
-    /// order, so equal states produce equal bytes.
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::new();
-        // Cost model (seven f64 fields).
+    /// Append the cost model (seven `f64`s) and the configuration: the
+    /// prefix of a full encoding, and what a delta's identity checksum
+    /// covers.
+    fn put_identity(&self, buf: &mut BytesMut) {
         for v in [
             self.model.storage_per_gb_period,
             self.model.read_per_gb,
@@ -563,135 +599,89 @@ impl AdvisorState {
         ] {
             buf.put_f64_le(v);
         }
-        // Config.
-        put_usize(&mut buf, self.config.exact_component_limit);
+        put_usize(buf, self.config.exact_component_limit);
         buf.put_u8(match self.config.knowledge {
             TransformKnowledge::Required => 0,
             TransformKnowledge::AssumeKnown => 1,
         });
         buf.put_f64_le(self.config.scans_per_week);
-        // Nodes.
+    }
+
+    /// Append the merged solution and the resolve stats: the always-whole
+    /// tail of both the full and the delta encoding.
+    fn put_resolved(&self, buf: &mut BytesMut) {
+        put_solution(buf, &self.solution);
+        put_usize(buf, self.stats.components_total);
+        put_usize(buf, self.stats.components_reused);
+        put_usize(buf, self.stats.components_resolved);
+    }
+
+    /// Serialize the complete advisor state — cost model, configuration,
+    /// pruned problem, dirty set, per-component solution cache and the last
+    /// merged solution — so a restored session re-advises without re-solving
+    /// clean components. The encoding is canonical: maps are walked in key
+    /// order, so equal states produce equal bytes.
+    pub fn encode(&self) -> Bytes {
+        let mut buf = BytesMut::new();
+        self.put_identity(&mut buf);
         buf.put_u32_le(self.nodes.len() as u32);
         for node in self.nodes.values() {
-            buf.put_u64_le(node.dataset);
-            buf.put_u64_le(node.size_bytes);
-            buf.put_f64_le(node.retention_cost);
-            buf.put_f64_le(node.accesses);
+            put_node(&mut buf, node);
         }
-        // Edges.
         buf.put_u32_le(self.edges.len() as u32);
-        for (&(parent, child), &cost) in &self.edges {
-            buf.put_u64_le(parent);
-            buf.put_u64_le(child);
-            buf.put_f64_le(cost);
+        for (&key, &cost) in &self.edges {
+            put_edge(&mut buf, key, cost);
         }
-        // Dirty set + staleness.
-        buf.put_u32_le(self.dirty.len() as u32);
-        for &d in &self.dirty {
-            buf.put_u64_le(d);
-        }
+        put_ids(&mut buf, self.dirty.iter().copied());
         put_bool(&mut buf, self.stale);
-        // Component cache.
         buf.put_u32_le(self.cache.len() as u32);
         for (&key, component) in &self.cache {
             buf.put_u64_le(key);
-            buf.put_u32_le(component.nodes.len() as u32);
-            for &n in &component.nodes {
-                buf.put_u64_le(n);
-            }
-            put_solution(&mut buf, &component.solution);
+            put_component(&mut buf, component);
         }
-        // Merged solution + resolve stats.
-        put_solution(&mut buf, &self.solution);
-        put_usize(&mut buf, self.stats.components_total);
-        put_usize(&mut buf, self.stats.components_reused);
-        put_usize(&mut buf, self.stats.components_resolved);
+        self.put_resolved(&mut buf);
         buf.freeze()
     }
 
     /// Decode a state produced by [`AdvisorState::encode`], consuming from
     /// the front of `buf`.
     pub fn decode(buf: &mut Bytes) -> Result<Self> {
-        expect_len(buf, 56, "advisor cost model")?;
+        let mut raw = get_raw(buf, 56, "advisor cost model")?;
         let model = CostModel {
-            storage_per_gb_period: buf.get_f64_le(),
-            read_per_gb: buf.get_f64_le(),
-            write_per_gb: buf.get_f64_le(),
-            maintenance_per_gb_op: buf.get_f64_le(),
-            read_latency_per_gb: buf.get_f64_le(),
-            write_latency_per_gb: buf.get_f64_le(),
-            latency_threshold: buf.get_f64_le(),
+            storage_per_gb_period: raw.get_f64_le(),
+            read_per_gb: raw.get_f64_le(),
+            write_per_gb: raw.get_f64_le(),
+            maintenance_per_gb_op: raw.get_f64_le(),
+            read_latency_per_gb: raw.get_f64_le(),
+            write_latency_per_gb: raw.get_f64_le(),
+            latency_threshold: raw.get_f64_le(),
         };
-        let exact_component_limit = get_usize(buf)?;
-        let knowledge = match get_tag(buf, "advisor knowledge tag")? {
+        let exact_component_limit = get_usize(buf, "advisor component limit")?;
+        let knowledge = match get_u8(buf, "advisor knowledge tag")? {
             0 => TransformKnowledge::Required,
             1 => TransformKnowledge::AssumeKnown,
-            other => {
-                return Err(r2d2_lake::LakeError::Corrupt(format!(
-                    "unknown knowledge tag {other}"
-                )))
-            }
+            other => return Err(LakeError::Corrupt(format!("unknown knowledge tag {other}"))),
         };
         let config = AdvisorConfig {
             exact_component_limit,
             knowledge,
-            scans_per_week: get_f64(buf)?,
+            scans_per_week: get_f64(buf, "advisor scans per week")?,
         };
-        expect_len(buf, 4, "advisor node count")?;
-        let node_count = buf.get_u32_le() as usize;
-        let mut nodes = BTreeMap::new();
-        for _ in 0..node_count {
-            expect_len(buf, 32, "advisor node")?;
-            let node = NodeCosts {
-                dataset: buf.get_u64_le(),
-                size_bytes: buf.get_u64_le(),
-                retention_cost: buf.get_f64_le(),
-                accesses: buf.get_f64_le(),
-            };
-            nodes.insert(node.dataset, node);
-        }
-        expect_len(buf, 4, "advisor edge count")?;
-        let edge_count = buf.get_u32_le() as usize;
-        let mut edges = BTreeMap::new();
-        for _ in 0..edge_count {
-            expect_len(buf, 24, "advisor edge")?;
-            let parent = buf.get_u64_le();
-            let child = buf.get_u64_le();
-            edges.insert((parent, child), buf.get_f64_le());
-        }
-        expect_len(buf, 4, "advisor dirty count")?;
-        let dirty_count = buf.get_u32_le() as usize;
-        let mut dirty = BTreeSet::new();
-        for _ in 0..dirty_count {
-            dirty.insert(get_u64(buf)?);
-        }
-        let stale = get_bool(buf)?;
-        expect_len(buf, 4, "advisor cache count")?;
-        let cache_count = buf.get_u32_le() as usize;
-        let mut cache = BTreeMap::new();
-        for _ in 0..cache_count {
-            let key = get_u64(buf)?;
-            expect_len(buf, 4, "advisor component size")?;
-            let members = buf.get_u32_le() as usize;
-            let mut component_nodes = Vec::with_capacity(members.min(4096));
-            for _ in 0..members {
-                component_nodes.push(get_u64(buf)?);
-            }
-            let solution = get_solution(buf)?;
-            cache.insert(
-                key,
-                CachedComponent {
-                    nodes: component_nodes,
-                    solution,
-                },
-            );
-        }
-        let solution = get_solution(buf)?;
-        let stats = ResolveStats {
-            components_total: get_usize(buf)?,
-            components_reused: get_usize(buf)?,
-            components_resolved: get_usize(buf)?,
-        };
+        let node_count = get_count(buf, 32, "advisor nodes")?;
+        let nodes = (0..node_count)
+            .map(|_| get_node(buf).map(|node| (node.dataset, node)))
+            .collect::<Result<_>>()?;
+        let edge_count = get_count(buf, 24, "advisor edges")?;
+        let edges = (0..edge_count)
+            .map(|_| get_edge(buf))
+            .collect::<Result<_>>()?;
+        let dirty = get_ids(buf, "advisor dirty set")?;
+        let stale = get_bool(buf, "advisor staleness")?;
+        let cache_count = get_count(buf, MIN_CACHE_ENTRY_BYTES, "advisor cache")?;
+        let cache = (0..cache_count)
+            .map(|_| Ok((get_u64(buf, "advisor cache key")?, get_component(buf)?)))
+            .collect::<Result<_>>()?;
+        let (solution, stats) = get_resolved(buf)?;
         Ok(AdvisorState {
             model,
             config,
@@ -704,6 +694,18 @@ impl AdvisorState {
             stats,
         })
     }
+}
+
+/// Read what [`AdvisorState::put_resolved`] wrote.
+fn get_resolved(buf: &mut Bytes) -> Result<(Solution, ResolveStats)> {
+    Ok((
+        get_solution(buf)?,
+        ResolveStats {
+            components_total: get_usize(buf, "advisor resolve stats")?,
+            components_reused: get_usize(buf, "advisor resolve stats")?,
+            components_resolved: get_usize(buf, "advisor resolve stats")?,
+        },
+    ))
 }
 
 // ---------------------------------------------------------------------------
@@ -722,25 +724,6 @@ pub struct AdvisorCapture {
     cache: BTreeMap<u64, u64>,
 }
 
-fn put_component(buf: &mut BytesMut, component: &CachedComponent) {
-    buf.put_u32_le(component.nodes.len() as u32);
-    for &n in &component.nodes {
-        buf.put_u64_le(n);
-    }
-    put_solution(buf, &component.solution);
-}
-
-fn get_component(buf: &mut Bytes) -> Result<CachedComponent> {
-    expect_len(buf, 4, "advisor component size")?;
-    let members = buf.get_u32_le() as usize;
-    let mut nodes = Vec::with_capacity(members.min(4096));
-    for _ in 0..members {
-        nodes.push(get_u64(buf)?);
-    }
-    let solution = get_solution(buf)?;
-    Ok(CachedComponent { nodes, solution })
-}
-
 fn component_checksum(component: &CachedComponent) -> u64 {
     let mut buf = BytesMut::new();
     put_component(&mut buf, component);
@@ -750,23 +733,7 @@ fn component_checksum(component: &CachedComponent) -> u64 {
 impl AdvisorState {
     fn identity_checksum(&self) -> u64 {
         let mut buf = BytesMut::new();
-        for v in [
-            self.model.storage_per_gb_period,
-            self.model.read_per_gb,
-            self.model.write_per_gb,
-            self.model.maintenance_per_gb_op,
-            self.model.read_latency_per_gb,
-            self.model.write_latency_per_gb,
-            self.model.latency_threshold,
-        ] {
-            buf.put_u64_le(v.to_bits());
-        }
-        put_usize(&mut buf, self.config.exact_component_limit);
-        buf.put_u8(match self.config.knowledge {
-            TransformKnowledge::Required => 0,
-            TransformKnowledge::AssumeKnown => 1,
-        });
-        buf.put_u64_le(self.config.scans_per_week.to_bits());
+        self.put_identity(&mut buf);
         r2d2_lake::wal::checksum(&buf.freeze())
     }
 
@@ -820,10 +787,7 @@ impl AdvisorState {
             .filter(|d| !self.nodes.contains_key(d))
             .copied()
             .collect();
-        buf.put_u32_le(removed_nodes.len() as u32);
-        for d in removed_nodes {
-            buf.put_u64_le(d);
-        }
+        put_ids(&mut buf, removed_nodes.into_iter());
         let upserted_nodes: Vec<&NodeCosts> = self
             .nodes
             .iter()
@@ -839,10 +803,7 @@ impl AdvisorState {
             .collect();
         buf.put_u32_le(upserted_nodes.len() as u32);
         for node in upserted_nodes {
-            buf.put_u64_le(node.dataset);
-            buf.put_u64_le(node.size_bytes);
-            buf.put_f64_le(node.retention_cost);
-            buf.put_f64_le(node.accesses);
+            put_node(&mut buf, node);
         }
         let removed_edges: Vec<(u64, u64)> = base
             .edges
@@ -862,16 +823,11 @@ impl AdvisorState {
             .map(|(&k, &cost)| (k, cost))
             .collect();
         buf.put_u32_le(upserted_edges.len() as u32);
-        for ((parent, child), cost) in upserted_edges {
-            buf.put_u64_le(parent);
-            buf.put_u64_le(child);
-            buf.put_f64_le(cost);
+        for (key, cost) in upserted_edges {
+            put_edge(&mut buf, key, cost);
         }
         // Dirty set + staleness: small, always rewritten whole.
-        buf.put_u32_le(self.dirty.len() as u32);
-        for &d in &self.dirty {
-            buf.put_u64_le(d);
-        }
+        put_ids(&mut buf, self.dirty.iter().copied());
         put_bool(&mut buf, self.stale);
         // Component cache diff.
         let removed_cache: Vec<u64> = base
@@ -880,10 +836,7 @@ impl AdvisorState {
             .filter(|k| !self.cache.contains_key(k))
             .copied()
             .collect();
-        buf.put_u32_le(removed_cache.len() as u32);
-        for k in removed_cache {
-            buf.put_u64_le(k);
-        }
+        put_ids(&mut buf, removed_cache.into_iter());
         let upserted_cache: Vec<(u64, &CachedComponent)> = self
             .cache
             .iter()
@@ -896,10 +849,7 @@ impl AdvisorState {
             put_component(&mut buf, component);
         }
         // Merged solution + resolve stats: small, always rewritten whole.
-        put_solution(&mut buf, &self.solution);
-        put_usize(&mut buf, self.stats.components_total);
-        put_usize(&mut buf, self.stats.components_reused);
-        put_usize(&mut buf, self.stats.components_resolved);
+        self.put_resolved(&mut buf);
         Some(buf.freeze())
     }
 
@@ -909,84 +859,43 @@ impl AdvisorState {
     /// removing an absent node, edge or cached component is a corruption
     /// error, never a panic.
     pub fn apply_delta(&mut self, buf: &mut Bytes) -> Result<()> {
-        let identity = get_u64(buf)?;
-        if identity != self.identity_checksum() {
-            return Err(r2d2_lake::LakeError::Corrupt(
-                "advisor delta identity does not match base generation".into(),
-            ));
+        let corrupt = |what: &str| Err(LakeError::Corrupt(format!("advisor delta {what}")));
+        if get_u64(buf, "advisor delta identity")? != self.identity_checksum() {
+            return corrupt("identity does not match base generation");
         }
-        expect_len(buf, 4, "advisor removed node count")?;
-        let removed_nodes = buf.get_u32_le() as usize;
-        for _ in 0..removed_nodes {
-            let d = get_u64(buf)?;
+        for d in get_ids::<Vec<u64>>(buf, "advisor removed nodes")? {
             if self.nodes.remove(&d).is_none() {
-                return Err(r2d2_lake::LakeError::Corrupt(
-                    "advisor delta removes an absent node".into(),
-                ));
+                return corrupt("removes an absent node");
             }
         }
-        expect_len(buf, 4, "advisor upserted node count")?;
-        let upserted_nodes = buf.get_u32_le() as usize;
-        for _ in 0..upserted_nodes {
-            expect_len(buf, 32, "advisor upserted node")?;
-            let node = NodeCosts {
-                dataset: buf.get_u64_le(),
-                size_bytes: buf.get_u64_le(),
-                retention_cost: buf.get_f64_le(),
-                accesses: buf.get_f64_le(),
-            };
+        for _ in 0..get_count(buf, 32, "advisor upserted nodes")? {
+            let node = get_node(buf)?;
             self.nodes.insert(node.dataset, node);
         }
-        expect_len(buf, 4, "advisor removed edge count")?;
-        let removed_edges = buf.get_u32_le() as usize;
-        for _ in 0..removed_edges {
-            let parent = get_u64(buf)?;
-            let child = get_u64(buf)?;
+        for _ in 0..get_count(buf, 16, "advisor removed edges")? {
+            let parent = get_u64(buf, "advisor removed edge")?;
+            let child = get_u64(buf, "advisor removed edge")?;
             if self.edges.remove(&(parent, child)).is_none() {
-                return Err(r2d2_lake::LakeError::Corrupt(
-                    "advisor delta removes an absent edge".into(),
-                ));
+                return corrupt("removes an absent edge");
             }
         }
-        expect_len(buf, 4, "advisor upserted edge count")?;
-        let upserted_edges = buf.get_u32_le() as usize;
-        for _ in 0..upserted_edges {
-            expect_len(buf, 24, "advisor upserted edge")?;
-            let parent = buf.get_u64_le();
-            let child = buf.get_u64_le();
-            self.edges.insert((parent, child), buf.get_f64_le());
+        for _ in 0..get_count(buf, 24, "advisor upserted edges")? {
+            let (key, cost) = get_edge(buf)?;
+            self.edges.insert(key, cost);
         }
-        expect_len(buf, 4, "advisor dirty count")?;
-        let dirty_count = buf.get_u32_le() as usize;
-        let mut dirty = BTreeSet::new();
-        for _ in 0..dirty_count {
-            dirty.insert(get_u64(buf)?);
-        }
-        self.dirty = dirty;
-        self.stale = get_bool(buf)?;
-        expect_len(buf, 4, "advisor removed cache count")?;
-        let removed_cache = buf.get_u32_le() as usize;
-        for _ in 0..removed_cache {
-            let k = get_u64(buf)?;
+        self.dirty = get_ids(buf, "advisor dirty set")?;
+        self.stale = get_bool(buf, "advisor staleness")?;
+        for k in get_ids::<Vec<u64>>(buf, "advisor removed cache")? {
             if self.cache.remove(&k).is_none() {
-                return Err(r2d2_lake::LakeError::Corrupt(
-                    "advisor delta removes an absent cached component".into(),
-                ));
+                return corrupt("removes an absent cached component");
             }
         }
-        expect_len(buf, 4, "advisor upserted cache count")?;
-        let upserted_cache = buf.get_u32_le() as usize;
-        for _ in 0..upserted_cache {
-            let key = get_u64(buf)?;
+        for _ in 0..get_count(buf, MIN_CACHE_ENTRY_BYTES, "advisor upserted cache")? {
+            let key = get_u64(buf, "advisor cache key")?;
             let component = get_component(buf)?;
             self.cache.insert(key, component);
         }
-        self.solution = get_solution(buf)?;
-        self.stats = ResolveStats {
-            components_total: get_usize(buf)?,
-            components_reused: get_usize(buf)?,
-            components_resolved: get_usize(buf)?,
-        };
+        (self.solution, self.stats) = get_resolved(buf)?;
         Ok(())
     }
 }

@@ -25,11 +25,10 @@ use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{AccessProfile, DataLake, Lineage, PartitionSpec, PartitionedTable, Result, Table};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// High-level shape of one customer org's data (controls the schema- and
 /// containment-similarity profile of the generated corpus).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OrgProfile {
     /// Number of root tables.
     pub roots: usize,
@@ -64,7 +63,7 @@ pub struct OrgProfile {
 }
 
 /// Serializable stand-in for [`RootDomain`] (which lives in `roots`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum DomainTag {
     /// Flat commerce tables.
     Transactions,
@@ -88,7 +87,7 @@ impl From<DomainTag> for RootDomain {
 }
 
 /// Full specification of a corpus to generate.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CorpusSpec {
     /// Corpus name (used as a prefix for dataset names).
     pub name: String,
