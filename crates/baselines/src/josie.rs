@@ -15,7 +15,7 @@
 //! adaptation that votes across columns — so the experiment harness can show
 //! both the cost of index construction and the accuracy gap.
 
-use r2d2_lake::{DataLake, Meter, Result, RowHash, RowHashMap};
+use r2d2_lake::{Counter, DataLake, Meter, Result, RowHash, RowHashMap};
 use std::collections::{BTreeMap, HashSet};
 
 /// Identifier of a column in the index: (dataset id, flattened column name).
@@ -100,7 +100,7 @@ impl InvertedIndex {
         let mut overlap: BTreeMap<usize, usize> = BTreeMap::new();
         for h in &query {
             if let Some(postings) = self.postings.get(h) {
-                meter.add_row_comparisons(postings.len() as u64);
+                meter.add(Counter::RowComparisons, postings.len() as u64);
                 for &col in postings {
                     *overlap.entry(col).or_insert(0) += 1;
                 }

@@ -17,7 +17,7 @@
 //! failure modes next to R2D2's results.
 
 use r2d2_graph::ContainmentGraph;
-use r2d2_lake::{DataLake, Meter, Result, RowHash};
+use r2d2_lake::{Counter, DataLake, Meter, Result, RowHash};
 use std::collections::HashSet;
 
 /// Columns-as-sets variant: for a candidate edge, require every common
@@ -39,7 +39,7 @@ pub fn columns_as_sets_graph(lake: &DataLake, meter: &Meter) -> Result<Containme
             if !child_set.is_contained_in(&parent_set) {
                 continue;
             }
-            meter.add_schema_comparisons(1);
+            meter.add(Counter::SchemaComparisons, 1);
             let child_table = child.data.to_table(meter)?;
             let parent_table = parent.data.to_table(meter)?;
             let mut all_contained = true;
@@ -50,7 +50,7 @@ pub fn columns_as_sets_graph(lake: &DataLake, meter: &Meter) -> Result<Containme
                     .row_hashes(&[col], meter)?
                     .into_iter()
                     .collect();
-                meter.add_row_comparisons(child_vals.len() as u64);
+                meter.add(Counter::RowComparisons, child_vals.len() as u64);
                 if !child_vals.is_subset(&parent_vals) {
                     all_contained = false;
                     break;
@@ -84,7 +84,7 @@ pub fn rows_as_sets_graph(lake: &DataLake, meter: &Meter) -> Result<ContainmentG
             if child_id == parent_id {
                 continue;
             }
-            meter.add_row_comparisons(child_rows.len() as u64);
+            meter.add(Counter::RowComparisons, child_rows.len() as u64);
             if child_rows.is_subset(parent_rows) {
                 graph.add_edge(*parent_id, *child_id);
             }

@@ -14,8 +14,8 @@ use r2d2_core::sgb::{build_schema_graph, build_schema_graph_string};
 use r2d2_core::{PipelineConfig, R2d2Pipeline};
 use r2d2_lake::query::{left_anti_join, left_anti_join_cached, scan, Predicate};
 use r2d2_lake::{
-    Column, DataType, HashJoinCache, LakeError, Meter, PartitionSpec, PartitionedTable, Result,
-    Schema, SchemaSet, Table,
+    Column, Counter, DataType, HashJoinCache, LakeError, Meter, PartitionSpec, PartitionedTable,
+    Result, Schema, SchemaSet, Table,
 };
 use r2d2_synth::corpus::{generate, CorpusSpec};
 use rand::rngs::SmallRng;
@@ -179,14 +179,17 @@ pub fn legacy_scan(
                 break;
             }
         }
-        meter.add_metadata_lookups(predicate.columns().len().max(1) as u64);
+        meter.add(
+            Counter::MetadataLookups,
+            predicate.columns().len().max(1) as u64,
+        );
         if !predicate.could_match_partition(meta) {
-            meter.add_partitions_pruned(1);
+            meter.add(Counter::PartitionsPruned, 1);
             continue;
         }
-        meter.add_partitions_scanned(1);
-        meter.add_rows_scanned(part.num_rows() as u64);
-        meter.add_bytes_scanned(part.byte_size() as u64);
+        meter.add(Counter::PartitionsScanned, 1);
+        meter.add(Counter::RowsScanned, part.num_rows() as u64);
+        meter.add(Counter::BytesScanned, part.byte_size() as u64);
         let mut keep = Vec::new();
         for i in 0..part.num_rows() {
             if predicate.matches(part, i)? {
@@ -245,8 +248,11 @@ pub fn legacy_random_rows<R: Rng + ?Sized>(
             Some(acc) => acc.concat(&row_tbl)?,
         });
     }
-    meter.add_rows_scanned(k as u64);
-    meter.add_bytes_scanned(out.as_ref().map(|t| t.byte_size() as u64).unwrap_or(0));
+    meter.add(Counter::RowsScanned, k as u64);
+    meter.add(
+        Counter::BytesScanned,
+        out.as_ref().map(|t| t.byte_size() as u64).unwrap_or(0),
+    );
     Ok(out.unwrap_or_else(|| Table::empty(table.schema().clone())))
 }
 

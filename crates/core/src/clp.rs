@@ -23,7 +23,9 @@ use crate::config::{ClpSampling, PipelineConfig};
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::query::{left_anti_join, left_anti_join_cached, random_rows, scan, Predicate};
 use r2d2_lake::row::hash_single;
-use r2d2_lake::{DataLake, DatasetId, HashJoinCache, Meter, PartitionedTable, Result, Table};
+use r2d2_lake::{
+    Counter, DataLake, DatasetId, HashJoinCache, Meter, PartitionedTable, Result, Table,
+};
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -167,13 +169,13 @@ fn sketch_disproves(
             if value.is_null() {
                 continue;
             }
-            meter.add_sketch_probes(1);
+            meter.add(Counter::SketchProbes, 1);
             if matches!(value, r2d2_lake::Value::Str(_)) {
-                meter.add_string_hash_ops(1);
-                meter.add_string_cells_hashed(1);
+                meter.add(Counter::StringHashOps, 1);
+                meter.add(Counter::StringCellsHashed, 1);
             }
             if !sketch.contains(hash_single(value)) {
-                meter.add_sketch_prunes(1);
+                meter.add(Counter::SketchPrunes, 1);
                 return true;
             }
         }

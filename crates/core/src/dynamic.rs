@@ -41,7 +41,7 @@ use crate::clp;
 use crate::config::PipelineConfig;
 use crate::mmp;
 use r2d2_graph::ContainmentGraph;
-use r2d2_lake::{DataLake, DatasetId, HashJoinCache, InternedSchemaSet, Meter, Result};
+use r2d2_lake::{Counter, DataLake, DatasetId, HashJoinCache, InternedSchemaSet, Meter, Result};
 use std::collections::{BTreeMap, BTreeSet};
 
 /// Coalesced content effect of a batch of updates on one dataset.
@@ -209,7 +209,7 @@ fn verify_pair(
     };
     let p = schemas.get(&parent).ok_or_else(|| missing(parent))?;
     let c = schemas.get(&child).ok_or_else(|| missing(child))?;
-    meter.add_schema_comparisons(1);
+    meter.add(Counter::SchemaComparisons, 1);
     if !c.is_contained_in(p) {
         return Ok(VerifyOutcome {
             pass: false,

@@ -19,7 +19,7 @@
 //! [`MmpStats`] and on the meter's `distinct_prunes` counter).
 
 use r2d2_graph::ContainmentGraph;
-use r2d2_lake::{DataLake, DatasetId, LakeError, Meter, Result};
+use r2d2_lake::{Counter, DataLake, DatasetId, LakeError, Meter, Result};
 
 /// Which metadata checks an MMP run applies. Named fields instead of two
 /// adjacent positional bools, so call sites cannot silently transpose the
@@ -119,7 +119,7 @@ fn check_edge(
         {
             prune = true;
             distinct_prune = true;
-            meter.add_distinct_prunes(1);
+            meter.add(Counter::DistinctPrunes, 1);
             break;
         }
     }

@@ -668,7 +668,7 @@ fn get_pipeline_report(buf: &mut Bytes) -> Result<PipelineReport> {
     let after_mmp = get_graph(buf)?;
     let after_clp = get_graph(buf)?;
     // tag + duration + op counts + edge count
-    let stage_count = get_count(buf, 1 + 12 + 136 + 8, "stages")?;
+    let stage_count = get_count(buf, 1 + 12 + snapshot::OP_COUNTS_BYTES + 8, "stages")?;
     let mut stages = Vec::with_capacity(stage_count);
     for _ in 0..stage_count {
         let stage = match get_u8(buf, "stage tag")? {
@@ -744,7 +744,7 @@ fn get_edge_list(buf: &mut Bytes) -> Result<Vec<(u64, u64)>> {
 
 /// Smallest encoded [`UpdateReport`]: four counters, three empty lists, the
 /// op counts and the duration.
-const MIN_UPDATE_REPORT_BYTES: usize = 4 * 8 + 3 * 4 + 136 + 12;
+const MIN_UPDATE_REPORT_BYTES: usize = 4 * 8 + 3 * 4 + snapshot::OP_COUNTS_BYTES + 12;
 
 fn get_update_report(buf: &mut Bytes) -> Result<UpdateReport> {
     let updates_applied = get_usize(buf, "updates applied")?;

@@ -230,6 +230,9 @@ impl R2d2Session {
     /// is the WAL-replay path: identical execution, but no write-ahead
     /// record (the batch came *from* the log) and no auto-checkpoint.
     fn apply_batch_inner(&mut self, updates: &[LakeUpdate], durable: bool) -> Result<UpdateReport> {
+        // Validated before the write-ahead append: the log holds only
+        // records that replay.
+        updates.iter().try_for_each(LakeUpdate::validate)?;
         if durable {
             if let Some(p) = &mut self.persist {
                 // Write-ahead: the record is durable before the first
@@ -436,8 +439,31 @@ impl R2d2Session {
     /// all not-yet-committed batches fail and the session should be
     /// re-bootstrapped, exactly as documented on [`R2d2Session::apply_batch`].
     /// A WAL append failure likewise fails the remaining batches without
-    /// executing them.
+    /// executing them. A batch that fails [`LakeUpdate::validate`] is
+    /// rejected up front with that error and never reaches the log; the
+    /// other batches commit without it.
     pub fn apply_group(&mut self, batches: &[Vec<LakeUpdate>]) -> GroupOutcome {
+        let checks: Vec<Result<()>> = batches
+            .iter()
+            .map(|b| b.iter().try_for_each(LakeUpdate::validate))
+            .collect();
+        let valid: Vec<&[LakeUpdate]> = batches
+            .iter()
+            .zip(&checks)
+            .filter(|(_, c)| c.is_ok())
+            .map(|(b, _)| b.as_slice())
+            .collect();
+        let mut outcome = self.apply_valid_group(&valid);
+        let mut results = std::mem::take(&mut outcome.results).into_iter();
+        outcome.results = checks
+            .into_iter()
+            .map(|c| c.and_then(|()| results.next().expect("one result per valid batch")))
+            .collect();
+        outcome
+    }
+
+    /// [`R2d2Session::apply_group`] over batches that passed validation.
+    fn apply_valid_group(&mut self, batches: &[&[LakeUpdate]]) -> GroupOutcome {
         let mut outcome = GroupOutcome {
             commits: Vec::new(),
             results: Vec::with_capacity(batches.len()),
@@ -446,7 +472,7 @@ impl R2d2Session {
         let mut start = 0;
         while start < batches.len() {
             let group = &batches[start..];
-            let concat: Vec<LakeUpdate> = group.iter().flatten().cloned().collect();
+            let concat: Vec<LakeUpdate> = group.iter().copied().flatten().cloned().collect();
             if let Some(p) = &mut self.persist {
                 if let Err(e) =
                     p.append(&WalRecord::Batch(concat.clone()).encode(), &self.failpoints)
@@ -916,20 +942,11 @@ impl R2d2Session {
                 && p.config.dir == config.dir
         });
         let site = if is_delta { "delta" } else { "rebase" };
-        let parts = persist::SnapshotParts {
-            config: &self.config,
-            snapshot_every_n_updates: config.snapshot_every_n_updates,
-            rebase_every_k_deltas: config.rebase_every_k_deltas,
-            wal_segment_max_bytes: config.wal_segment_max_bytes,
-            lake: &self.lake,
-            graph: &self.graph,
-            interner: &self.interner,
-            cache: &self.cache,
-            bootstrap: &self.bootstrap,
-            updates_applied: self.updates_applied,
-            log: &self.log,
-            advisor: self.advisor.as_ref(),
-        };
+        let parts = self.snapshot_parts(
+            config.snapshot_every_n_updates,
+            config.rebase_every_k_deltas,
+            config.wal_segment_max_bytes,
+        );
         let (kind, body) = if is_delta {
             let base = &self
                 .persist
@@ -1024,20 +1041,35 @@ impl R2d2Session {
         wal_segment_max_bytes: u64,
     ) -> SessionSnapshot {
         SessionSnapshot {
-            bytes: persist::encode_snapshot(&persist::SnapshotParts {
-                config: &self.config,
+            bytes: persist::encode_snapshot(&self.snapshot_parts(
                 snapshot_every_n_updates,
                 rebase_every_k_deltas,
                 wal_segment_max_bytes,
-                lake: &self.lake,
-                graph: &self.graph,
-                interner: &self.interner,
-                cache: &self.cache,
-                bootstrap: &self.bootstrap,
-                updates_applied: self.updates_applied,
-                log: &self.log,
-                advisor: self.advisor.as_ref(),
-            }),
+            )),
+        }
+    }
+
+    /// Borrow everything a snapshot captures, under the given persistence
+    /// policy.
+    fn snapshot_parts(
+        &self,
+        snapshot_every_n_updates: usize,
+        rebase_every_k_deltas: usize,
+        wal_segment_max_bytes: u64,
+    ) -> persist::SnapshotParts<'_> {
+        persist::SnapshotParts {
+            config: &self.config,
+            snapshot_every_n_updates,
+            rebase_every_k_deltas,
+            wal_segment_max_bytes,
+            lake: &self.lake,
+            graph: &self.graph,
+            interner: &self.interner,
+            cache: &self.cache,
+            bootstrap: &self.bootstrap,
+            updates_applied: self.updates_applied,
+            log: &self.log,
+            advisor: self.advisor.as_ref(),
         }
     }
 
@@ -1098,20 +1130,11 @@ impl R2d2Session {
         let resume_base = persist::capture_base(
             base_seq,
             base_checksum,
-            &persist::SnapshotParts {
-                config: &session.config,
-                snapshot_every_n_updates: config.snapshot_every_n_updates,
-                rebase_every_k_deltas: config.rebase_every_k_deltas,
-                wal_segment_max_bytes: config.wal_segment_max_bytes,
-                lake: &session.lake,
-                graph: &session.graph,
-                interner: &session.interner,
-                cache: &session.cache,
-                bootstrap: &session.bootstrap,
-                updates_applied: session.updates_applied,
-                log: &session.log,
-                advisor: session.advisor.as_ref(),
-            },
+            &session.snapshot_parts(
+                config.snapshot_every_n_updates,
+                config.rebase_every_k_deltas,
+                config.wal_segment_max_bytes,
+            ),
         );
 
         // 2. Replay WALs from the base generation forward. Generation N's
@@ -1865,6 +1888,54 @@ mod tests {
         let after = grouped.wal_stats().unwrap();
         assert_eq!(after.records, grouped_stats.records);
         assert!(after.fsyncs > grouped_stats.fsyncs);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn over_deep_delete_predicates_are_rejected_before_the_wal() {
+        let dir = std::env::temp_dir().join("r2d2_session_deep_predicate");
+        std::fs::remove_dir_all(&dir).ok();
+        let mut session = session_with(&[("base", table(0..50)), ("sub", table(10..30))]);
+        session
+            .enable_persistence(PersistenceConfig::new(&dir).with_snapshot_every(0))
+            .unwrap();
+        let mut predicate = Predicate::eq("id", Value::Int(10));
+        for _ in 0..Predicate::MAX_DEPTH {
+            predicate = Predicate::and(vec![predicate]);
+        }
+        let deep = LakeUpdate::DeleteRows {
+            id: DatasetId(1),
+            predicate,
+        };
+        assert!(matches!(
+            session.apply(deep.clone()),
+            Err(LakeError::InvalidArgument(_))
+        ));
+        assert_eq!(session.wal_stats().unwrap().records, 0);
+
+        // In a group only the offending batch is rejected; the others
+        // commit together as one WAL record.
+        let append = |rows| {
+            vec![LakeUpdate::AppendRows {
+                id: DatasetId(1),
+                rows: table(rows),
+            }]
+        };
+        let outcome = session.apply_group(&[append(30..35), vec![deep], append(35..40)]);
+        assert_eq!(outcome.commits.len(), 1);
+        assert!(matches!(
+            outcome.results[..],
+            [Ok(0), Err(LakeError::InvalidArgument(_)), Ok(0)]
+        ));
+        assert_eq!(session.wal_stats().unwrap().records, 1);
+        assert_eq!(session.lake().dataset(DatasetId(1)).unwrap().num_rows(), 30);
+
+        let restored = R2d2Session::restore(&dir).unwrap();
+        assert_eq!(session_edges(&restored), session_edges(&session));
+        assert_eq!(
+            restored.lake().dataset(DatasetId(1)).unwrap().num_rows(),
+            30
+        );
         std::fs::remove_dir_all(&dir).ok();
     }
 

@@ -45,7 +45,8 @@
 use crate::config::ApproxConfig;
 use r2d2_graph::ContainmentGraph;
 use r2d2_lake::{
-    DataLake, InternedSchemaSet, Meter, MinHashSignature, SchemaInterner, SchemaSet, SIGNATURE_K,
+    Counter, DataLake, InternedSchemaSet, Meter, MinHashSignature, SchemaInterner, SchemaSet,
+    SIGNATURE_K,
 };
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -219,7 +220,7 @@ impl CandidateSource for ApproxCandidates {
         else {
             return true;
         };
-        self.meter.add_approx_probes(1);
+        self.meter.add(Counter::ApproxProbes, 1);
         let collide = match (self.band_hashes.get(&parent), self.band_hashes.get(&child)) {
             (Some(pb), Some(cb)) => pb.iter().zip(cb).any(|(a, b)| a == b),
             _ => false,
@@ -227,7 +228,7 @@ impl CandidateSource for ApproxCandidates {
         if collide || cs.containment_estimate_in(ps) >= self.threshold {
             return true;
         }
-        self.meter.add_approx_prunes(1);
+        self.meter.add(Counter::ApproxPrunes, 1);
         false
     }
 }
@@ -445,7 +446,7 @@ pub fn build_schema_graph_with_source<C: CandidateSource>(
         .map(|(_, s)| interner.intern_set(s))
         .collect();
     let result = sgb_core(&ids, &sets, threads, source);
-    meter.add_schema_comparisons(result.schema_comparisons);
+    meter.add(Counter::SchemaComparisons, result.schema_comparisons);
     result
 }
 
@@ -457,7 +458,7 @@ pub fn build_schema_graph_string(schemas: &[(u64, SchemaSet)], meter: &Meter) ->
     let ids: Vec<u64> = schemas.iter().map(|(id, _)| *id).collect();
     let sets: Vec<SchemaSet> = schemas.iter().map(|(_, s)| s.clone()).collect();
     let result = sgb_core(&ids, &sets, 1, &ExactCandidates);
-    meter.add_schema_comparisons(result.schema_comparisons);
+    meter.add(Counter::SchemaComparisons, result.schema_comparisons);
     result
 }
 
@@ -482,7 +483,7 @@ pub fn brute_force_schema_graph(schemas: &[(u64, SchemaSet)], meter: &Meter) -> 
             }
         }
     }
-    meter.add_schema_comparisons(comparisons);
+    meter.add(Counter::SchemaComparisons, comparisons);
     graph
 }
 

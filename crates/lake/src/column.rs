@@ -12,7 +12,7 @@
 
 use crate::datatype::DataType;
 use crate::error::{LakeError, Result};
-use crate::meter::Meter;
+use crate::meter::{Counter, Meter};
 use crate::stats::ColumnStats;
 use crate::value::Value;
 use bytes::Bytes;
@@ -82,7 +82,7 @@ impl LazyColumn {
         }
         let values = crate::storage::decode_page(&self.page, data_type, self.rows)?;
         if self.cell.set(values).is_ok() {
-            self.meter.add_pages_decoded(1);
+            self.meter.add(Counter::PagesDecoded, 1);
         }
         Ok(self.cell.get().expect("cell was just filled"))
     }

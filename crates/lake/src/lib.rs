@@ -74,7 +74,7 @@ pub use column::Column;
 pub use csv::{CsvOptions, CsvRead, IngestError, QuarantinedRow};
 pub use datatype::DataType;
 pub use error::{LakeError, Result};
-pub use meter::{Meter, OpCounts};
+pub use meter::{Counter, Meter, OpCounts};
 pub use partition::{PartitionSpec, PartitionedTable};
 pub use query::{ContainmentCheck, HashJoinCache, Predicate};
 pub use row::{Row, RowHash, RowHashMap, RowHashMapHasher};

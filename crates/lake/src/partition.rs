@@ -11,7 +11,7 @@
 //! [`ColumnStats`] metadata, plus merged table-level metadata.
 
 use crate::error::{LakeError, Result};
-use crate::meter::Meter;
+use crate::meter::{Counter, Meter};
 use crate::schema::Schema;
 use crate::stats::ColumnStats;
 use crate::table::Table;
@@ -261,7 +261,7 @@ impl PartitionedTable {
         column: &str,
         meter: &Meter,
     ) -> Result<(Option<Value>, Option<Value>)> {
-        meter.add_metadata_lookups(1);
+        meter.add(Counter::MetadataLookups, 1);
         match self.table_stats.get(column) {
             Some(s) => Ok((s.min.clone(), s.max.clone())),
             None => {
@@ -283,7 +283,7 @@ impl PartitionedTable {
     /// ([`crate::sketch::ColumnSketch::min_distinct`]). Returns `0` for a
     /// missing or all-null column (no evidence, no prune).
     pub fn column_distinct_lower_bound(&self, column: &str, meter: &Meter) -> usize {
-        meter.add_metadata_lookups(1);
+        meter.add(Counter::MetadataLookups, 1);
         if self.table_distinct_exact {
             // The exact figure is its own (tight) lower bound — O(1).
             return self
@@ -314,7 +314,7 @@ impl PartitionedTable {
     /// Returns `usize::MAX` when the column has no statistics (no evidence,
     /// no prune).
     pub fn column_distinct_upper_bound(&self, column: &str, meter: &Meter) -> usize {
-        meter.add_metadata_lookups(1);
+        meter.add(Counter::MetadataLookups, 1);
         self.table_stats
             .get(column)
             .map(|s| s.distinct_count)
@@ -356,9 +356,9 @@ impl PartitionedTable {
     /// Concatenate all partitions back into a single [`Table`]. This is a
     /// full materialisation and is metered as a full scan.
     pub fn to_table(&self, meter: &Meter) -> Result<Table> {
-        meter.add_rows_scanned(self.num_rows as u64);
-        meter.add_bytes_scanned(self.byte_size() as u64);
-        meter.add_partitions_scanned(self.partitions.len() as u64);
+        meter.add(Counter::RowsScanned, self.num_rows as u64);
+        meter.add(Counter::BytesScanned, self.byte_size() as u64);
+        meter.add(Counter::PartitionsScanned, self.partitions.len() as u64);
         Table::concat_many(self.schema.clone(), self.partitions.iter())
     }
 

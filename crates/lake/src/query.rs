@@ -10,7 +10,7 @@
 
 use crate::catalog::{DataLake, DatasetId};
 use crate::error::{LakeError, Result};
-use crate::meter::Meter;
+use crate::meter::{Counter, Meter};
 use crate::partition::{PartitionMeta, PartitionedTable};
 use crate::row::RowHashMap;
 use crate::table::Table;
@@ -67,6 +67,22 @@ impl Predicate {
     /// Conjunction helper.
     pub fn and(preds: Vec<Predicate>) -> Self {
         Predicate::And(preds)
+    }
+
+    /// Deepest nesting a durable predicate may have: a leaf has depth 1 and
+    /// an `And` one more than its deepest part. The snapshot decoder
+    /// rejects deeper trees as corrupt, because decoding recurses once per
+    /// level and a crafted payload could otherwise exhaust the stack.
+    pub const MAX_DEPTH: usize = 64;
+
+    /// Whether the predicate nests no deeper than `depth` levels. The check
+    /// itself recurses at most `depth` levels, so it is safe on any tree.
+    pub fn nests_within(&self, depth: usize) -> bool {
+        depth > 0
+            && match self {
+                Predicate::And(ps) => ps.iter().all(|p| p.nests_within(depth - 1)),
+                _ => true,
+            }
     }
 
     /// Columns referenced by the predicate, deduplicated in first-occurrence
@@ -193,14 +209,14 @@ pub fn scan(
                 break;
             }
         }
-        meter.add_metadata_lookups(metadata_lookups_per_partition);
+        meter.add(Counter::MetadataLookups, metadata_lookups_per_partition);
         if !predicate.could_match_partition(meta) {
-            meter.add_partitions_pruned(1);
+            meter.add(Counter::PartitionsPruned, 1);
             continue;
         }
-        meter.add_partitions_scanned(1);
-        meter.add_rows_scanned(part.num_rows() as u64);
-        meter.add_bytes_scanned(part.byte_size() as u64);
+        meter.add(Counter::PartitionsScanned, 1);
+        meter.add(Counter::RowsScanned, part.num_rows() as u64);
+        meter.add(Counter::BytesScanned, part.byte_size() as u64);
         let mut keep = Vec::new();
         for i in 0..part.num_rows() {
             if predicate.matches(part, i)? {
@@ -324,8 +340,8 @@ pub fn random_rows<R: Rng + ?Sized>(
         .collect();
 
     let out = gather_rows(table, &selected, k)?;
-    meter.add_rows_scanned(k as u64);
-    meter.add_bytes_scanned(out.byte_size() as u64);
+    meter.add(Counter::RowsScanned, k as u64);
+    meter.add(Counter::BytesScanned, out.byte_size() as u64);
     Ok(out)
 }
 
@@ -354,7 +370,7 @@ fn anti_join_against(
     meter: &Meter,
 ) -> Result<Table> {
     let probe_hashes = probe.row_hashes(on, meter)?;
-    meter.add_row_comparisons(probe_hashes.len() as u64);
+    meter.add(Counter::RowComparisons, probe_hashes.len() as u64);
     let keep: Vec<usize> = probe_hashes
         .iter()
         .enumerate()
@@ -609,7 +625,7 @@ fn containment_against(
 ) -> Result<ContainmentCheck> {
     let child_table = child.to_table(meter)?;
     let child_hashes = child_table.row_hashes(child_cols, meter)?;
-    meter.add_row_comparisons(child_hashes.len() as u64);
+    meter.add(Counter::RowComparisons, child_hashes.len() as u64);
     let mut child_counts: RowHashMap<usize> =
         RowHashMap::with_capacity_and_hasher(child_hashes.len(), Default::default());
     for h in &child_hashes {

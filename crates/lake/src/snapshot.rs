@@ -19,7 +19,7 @@
 
 use crate::catalog::{AccessProfile, DataLake, DatasetEntry, DatasetId, Lineage};
 use crate::error::{LakeError, Result};
-use crate::meter::{Meter, OpCounts};
+use crate::meter::{Counter, Meter, OpCounts, COUNTERS};
 use crate::partition::{PartitionSpec, PartitionedTable};
 use crate::query::{HashJoinCache, Predicate};
 use crate::row::{RowHash, RowHashMap};
@@ -39,7 +39,11 @@ use std::sync::Arc;
 // Lake-owned composite codecs
 // ---------------------------------------------------------------------------
 
-/// Append an [`OpCounts`] snapshot (seventeen `u64` counters).
+/// Encoded size of an [`OpCounts`] snapshot.
+pub const OP_COUNTS_BYTES: usize = 8 * COUNTERS;
+
+/// Append an [`OpCounts`] snapshot: one `u64` per counter, in
+/// [`Counter::ALL`] order.
 ///
 /// The page counters (`pages_decoded` / `pages_skipped`) are **not**
 /// persisted — they are zeroed on the wire. They describe how lazy *this
@@ -50,48 +54,16 @@ use std::sync::Arc;
 /// be bit-identical). The string-hashing counters are logical work and do
 /// persist.
 pub fn put_op_counts(buf: &mut BytesMut, c: &OpCounts) {
-    let c = &c.without_page_counters();
-    buf.put_u64_le(c.rows_scanned);
-    buf.put_u64_le(c.bytes_scanned);
-    buf.put_u64_le(c.rows_hashed);
-    buf.put_u64_le(c.row_comparisons);
-    buf.put_u64_le(c.metadata_lookups);
-    buf.put_u64_le(c.partitions_pruned);
-    buf.put_u64_le(c.partitions_scanned);
-    buf.put_u64_le(c.schema_comparisons);
-    buf.put_u64_le(c.distinct_prunes);
-    buf.put_u64_le(c.sketch_probes);
-    buf.put_u64_le(c.sketch_prunes);
-    buf.put_u64_le(c.pages_decoded);
-    buf.put_u64_le(c.pages_skipped);
-    buf.put_u64_le(c.string_hash_ops);
-    buf.put_u64_le(c.string_cells_hashed);
-    buf.put_u64_le(c.approx_probes);
-    buf.put_u64_le(c.approx_prunes);
+    let c = c.without_page_counters();
+    for counter in Counter::ALL {
+        buf.put_u64_le(c.get(counter));
+    }
 }
 
 /// Read an [`OpCounts`] snapshot.
 pub fn get_op_counts(buf: &mut Bytes) -> Result<OpCounts> {
-    let mut buf = get_raw(buf, 136, "op counts")?;
-    Ok(OpCounts {
-        rows_scanned: buf.get_u64_le(),
-        bytes_scanned: buf.get_u64_le(),
-        rows_hashed: buf.get_u64_le(),
-        row_comparisons: buf.get_u64_le(),
-        metadata_lookups: buf.get_u64_le(),
-        partitions_pruned: buf.get_u64_le(),
-        partitions_scanned: buf.get_u64_le(),
-        schema_comparisons: buf.get_u64_le(),
-        distinct_prunes: buf.get_u64_le(),
-        sketch_probes: buf.get_u64_le(),
-        sketch_prunes: buf.get_u64_le(),
-        pages_decoded: buf.get_u64_le(),
-        pages_skipped: buf.get_u64_le(),
-        string_hash_ops: buf.get_u64_le(),
-        string_cells_hashed: buf.get_u64_le(),
-        approx_probes: buf.get_u64_le(),
-        approx_prunes: buf.get_u64_le(),
-    })
+    let mut buf = get_raw(buf, OP_COUNTS_BYTES, "op counts")?;
+    Ok(OpCounts::from_fn(|_| buf.get_u64_le()))
 }
 
 /// Append an [`AccessProfile`] (two `f64`s).
@@ -238,8 +210,19 @@ pub fn put_predicate(buf: &mut BytesMut, p: &Predicate) {
     }
 }
 
-/// Read a [`Predicate`] tree.
+/// Read a [`Predicate`] tree; one nested deeper than
+/// [`Predicate::MAX_DEPTH`] is corrupt.
 pub fn get_predicate(buf: &mut Bytes) -> Result<Predicate> {
+    get_predicate_within(buf, Predicate::MAX_DEPTH)
+}
+
+fn get_predicate_within(buf: &mut Bytes, depth: usize) -> Result<Predicate> {
+    if depth == 0 {
+        return Err(LakeError::Corrupt(format!(
+            "predicate nested deeper than {}",
+            Predicate::MAX_DEPTH
+        )));
+    }
     Ok(match get_u8(buf, "predicate tag")? {
         0 => Predicate::True,
         1 => Predicate::Eq {
@@ -254,7 +237,7 @@ pub fn get_predicate(buf: &mut Bytes) -> Result<Predicate> {
         3 => {
             let len = get_count(buf, 1, "predicate conjunction")?;
             let ps = (0..len)
-                .map(|_| get_predicate(buf))
+                .map(|_| get_predicate_within(buf, depth - 1))
                 .collect::<Result<_>>()?;
             Predicate::And(ps)
         }
@@ -774,8 +757,8 @@ mod tests {
             )
             .unwrap();
         lake.remove_dataset(doomed).unwrap();
-        lake.meter().add_rows_scanned(123);
-        lake.meter().add_schema_comparisons(7);
+        lake.meter().add(Counter::RowsScanned, 123);
+        lake.meter().add(Counter::SchemaComparisons, 7);
         lake.record_access(DatasetId(1));
         lake.record_access(DatasetId(1));
 
@@ -879,21 +862,10 @@ mod tests {
         assert_eq!(cursor.remaining(), 0);
     }
 
-    #[test]
-    fn applied_update_and_op_counts_round_trip() {
-        let applied = vec![
-            AppliedUpdate::Added { id: DatasetId(7) },
-            AppliedUpdate::Appended {
-                id: DatasetId(1),
-                rows: 30,
-            },
-            AppliedUpdate::Deleted {
-                id: DatasetId(2),
-                rows: 0,
-            },
-            AppliedUpdate::Dropped { id: DatasetId(3) },
-        ];
-        let counts = OpCounts {
+    /// Each counter set to its 1-based position in the wire order, spelled
+    /// out field by field.
+    fn numbered_counts() -> OpCounts {
+        OpCounts {
             rows_scanned: 1,
             bytes_scanned: 2,
             rows_hashed: 3,
@@ -911,7 +883,24 @@ mod tests {
             string_cells_hashed: 15,
             approx_probes: 16,
             approx_prunes: 17,
-        };
+        }
+    }
+
+    #[test]
+    fn applied_update_and_op_counts_round_trip() {
+        let applied = vec![
+            AppliedUpdate::Added { id: DatasetId(7) },
+            AppliedUpdate::Appended {
+                id: DatasetId(1),
+                rows: 30,
+            },
+            AppliedUpdate::Deleted {
+                id: DatasetId(2),
+                rows: 0,
+            },
+            AppliedUpdate::Dropped { id: DatasetId(3) },
+        ];
+        let counts = numbered_counts();
         let mut buf = BytesMut::new();
         for a in &applied {
             put_applied(&mut buf, a);
@@ -926,6 +915,30 @@ mod tests {
             get_op_counts(&mut cursor).unwrap(),
             counts.without_page_counters()
         );
+    }
+
+    #[test]
+    fn each_counter_owns_one_field_and_one_wire_slot() {
+        let numbered = numbered_counts();
+        let mut buf = BytesMut::new();
+        put_op_counts(&mut buf, &numbered);
+        let wire = buf.freeze().to_vec();
+        assert_eq!(wire.len(), OP_COUNTS_BYTES);
+        for (i, counter) in Counter::ALL.into_iter().enumerate() {
+            assert_eq!(numbered.get(counter), i as u64 + 1, "{counter:?} field");
+            let meter = Meter::new();
+            meter.add(counter, 1);
+            let counts = meter.snapshot();
+            assert_eq!(
+                Counter::ALL.map(|c| counts.get(c)),
+                Counter::ALL.map(|c| u64::from(c == counter)),
+                "add({counter:?}, 1) changes exactly its own field"
+            );
+            let word = u64::from_le_bytes(wire[8 * i..8 * i + 8].try_into().unwrap());
+            let paged = matches!(counter, Counter::PagesDecoded | Counter::PagesSkipped);
+            let expected = if paged { 0 } else { i as u64 + 1 };
+            assert_eq!(word, expected, "{counter:?} wire slot");
+        }
     }
 
     #[test]
@@ -980,7 +993,7 @@ mod tests {
                 None,
             )
             .unwrap();
-        lake.meter().add_rows_scanned(50);
+        lake.meter().add(Counter::RowsScanned, 50);
         lake.record_access(DatasetId(0));
         let base_fingerprint = lake_fingerprint(&lake);
 
@@ -1011,7 +1024,7 @@ mod tests {
             },
         )
         .unwrap();
-        lake.meter().add_rows_scanned(17);
+        lake.meter().add(Counter::RowsScanned, 17);
         lake.record_access(fresh);
 
         let mut delta = BytesMut::new();
@@ -1162,5 +1175,29 @@ mod tests {
         let mut empty = Bytes::new();
         assert!(get_op_counts(&mut empty).is_err());
         assert!(get_lake(&mut Bytes::new()).is_err());
+    }
+
+    #[test]
+    fn deeply_nested_predicates_are_corrupt_not_a_stack_overflow() {
+        // `depth - 1` single-child conjunctions around one `True` leaf.
+        let nested = |depth: usize| {
+            let mut buf = BytesMut::new();
+            for _ in 1..depth {
+                buf.put_u8(3);
+                buf.put_u32_le(1);
+            }
+            buf.put_u8(0);
+            buf.freeze()
+        };
+        // A 500 KB payload whose unbounded decode overflows the stack.
+        for depth in [100_000, Predicate::MAX_DEPTH + 1] {
+            assert!(matches!(
+                get_predicate(&mut nested(depth)),
+                Err(LakeError::Corrupt(_))
+            ));
+        }
+        let deepest = get_predicate(&mut nested(Predicate::MAX_DEPTH)).unwrap();
+        assert!(deepest.nests_within(Predicate::MAX_DEPTH));
+        assert!(!Predicate::and(vec![deepest]).nests_within(Predicate::MAX_DEPTH));
     }
 }

@@ -75,7 +75,7 @@
 use crate::column::Column;
 use crate::datatype::DataType;
 use crate::error::{LakeError, Result};
-use crate::meter::Meter;
+use crate::meter::{Counter, Meter};
 use crate::partition::PartitionedTable;
 use crate::schema::{Field, Schema};
 use crate::signature::{MinHashSignature, SIGNATURE_K};
@@ -709,7 +709,7 @@ pub(crate) fn decode_with(
     lazy_meter: &Meter,
 ) -> Result<PartitionedTable> {
     check_magic_and_version(bytes)?;
-    io_meter.add_bytes_scanned(bytes.len() as u64);
+    io_meter.add(Counter::BytesScanned, bytes.len() as u64);
     let (mut buf, schema, group_count) = decode_header(bytes)?;
     let (footer, table_section, footer_offset) = parse_footer_entries(bytes, &schema, group_count)?;
     let distinct_exact = table_section.distinct_exact;
@@ -748,7 +748,7 @@ pub(crate) fn decode_with(
                 stats,
                 lazy_meter,
             ));
-            lazy_meter.add_pages_skipped(1);
+            lazy_meter.add(Counter::PagesSkipped, 1);
         }
         partitions.push(Table::new(schema.clone(), columns)?);
     }
@@ -780,12 +780,15 @@ pub fn read_footer(bytes: &Bytes, meter: &Meter) -> Result<FooterStats> {
     for group in entries {
         let mut per_col = HashMap::with_capacity(schema.len());
         for (f, stats) in schema.fields().iter().zip(group) {
-            meter.add_metadata_lookups(1);
+            meter.add(Counter::MetadataLookups, 1);
             per_col.insert(f.name.clone(), stats);
         }
         column_stats.push(per_col);
     }
-    meter.add_metadata_lookups(table_section.table_stats.len() as u64);
+    meter.add(
+        Counter::MetadataLookups,
+        table_section.table_stats.len() as u64,
+    );
 
     // Recover row counts from the group headers, hopping over each column
     // page via its length frame (no page byte is inspected).

@@ -7,7 +7,7 @@
 
 use crate::column::Column;
 use crate::error::{LakeError, Result};
-use crate::meter::Meter;
+use crate::meter::{Counter, Meter};
 use crate::row::{combine_hashes, hash_single, Row, RowHash, RowHashMap};
 use crate::schema::Schema;
 use crate::stats::ColumnStats;
@@ -284,9 +284,12 @@ impl Table {
         for n in &names {
             col_refs.push(self.column(n)?);
         }
-        meter.add_rows_scanned(self.num_rows as u64);
-        meter.add_rows_hashed(self.num_rows as u64);
-        meter.add_bytes_scanned(col_refs.iter().map(|c| c.byte_size() as u64).sum::<u64>());
+        meter.add(Counter::RowsScanned, self.num_rows as u64);
+        meter.add(Counter::RowsHashed, self.num_rows as u64);
+        meter.add(
+            Counter::BytesScanned,
+            col_refs.iter().map(|c| c.byte_size() as u64).sum::<u64>(),
+        );
 
         let mut per_column: Vec<Vec<RowHash>> = Vec::with_capacity(col_refs.len());
         for col in &col_refs {
@@ -304,8 +307,8 @@ impl Table {
                         other => hash_single(other),
                     });
                 }
-                meter.add_string_hash_ops(memo.len() as u64);
-                meter.add_string_cells_hashed(cells);
+                meter.add(Counter::StringHashOps, memo.len() as u64);
+                meter.add(Counter::StringCellsHashed, cells);
             } else {
                 for v in values {
                     hashes.push(hash_single(v));

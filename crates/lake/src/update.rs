@@ -70,6 +70,23 @@ impl LakeUpdate {
             | LakeUpdate::DropDataset { id } => Some(*id),
         }
     }
+
+    /// Reject an update that a write-ahead log could record but never
+    /// replay: a `DeleteRows` predicate nested deeper than
+    /// [`Predicate::MAX_DEPTH`], which the record decoder treats as corrupt.
+    pub fn validate(&self) -> Result<()> {
+        match self {
+            LakeUpdate::DeleteRows { predicate, .. }
+                if !predicate.nests_within(Predicate::MAX_DEPTH) =>
+            {
+                Err(LakeError::InvalidArgument(format!(
+                    "delete predicate nests deeper than {} levels",
+                    Predicate::MAX_DEPTH
+                )))
+            }
+            _ => Ok(()),
+        }
+    }
 }
 
 /// What a [`LakeUpdate`] actually did to the catalog.

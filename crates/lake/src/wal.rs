@@ -35,6 +35,8 @@
 //! loses nothing that was acknowledged.
 
 use crate::error::{LakeError, Result};
+use crate::wire::{get_raw, get_u32, get_u64};
+use bytes::{Buf, BufMut, Bytes, BytesMut};
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
@@ -162,12 +164,12 @@ impl WalWriter {
     /// extends and its `segment` index within that generation.
     pub fn create(path: &Path, generation: u64, segment: u32) -> Result<Self> {
         let mut file = File::create(path)?;
-        let mut header = [0u8; SEGMENT_HEADER];
-        header[..8].copy_from_slice(WAL_MAGIC);
-        header[8..12].copy_from_slice(&WAL_VERSION.to_le_bytes());
-        header[12..20].copy_from_slice(&generation.to_le_bytes());
-        header[20..24].copy_from_slice(&segment.to_le_bytes());
-        file.write_all(&header)?;
+        let mut header = BytesMut::with_capacity(SEGMENT_HEADER);
+        header.put_slice(WAL_MAGIC);
+        header.put_u32_le(WAL_VERSION);
+        header.put_u64_le(generation);
+        header.put_u32_le(segment);
+        file.write_all(&header.freeze())?;
         file.sync_all()?;
         Ok(WalWriter {
             file,
@@ -193,10 +195,11 @@ impl WalWriter {
     /// (which `r2d2_core`'s restore does) rather than keep appending.
     pub fn open_append(path: &Path, expect: Option<(u64, u32)>) -> Result<Self> {
         let mut file = OpenOptions::new().read(true).append(true).open(path)?;
-        let mut header = [0u8; SEGMENT_HEADER];
-        file.read_exact(&mut header)
-            .map_err(|_| LakeError::Corrupt("WAL header too short".into()))?;
-        let (generation, segment) = validate_header(&header)?;
+        let mut header = Vec::with_capacity(SEGMENT_HEADER);
+        (&mut file)
+            .take(SEGMENT_HEADER as u64)
+            .read_to_end(&mut header)?;
+        let (generation, segment) = get_segment_header(&mut Bytes::from(header))?;
         if let Some((want_gen, want_seg)) = expect {
             if (generation, segment) != (want_gen, want_seg) {
                 return Err(LakeError::Corrupt(format!(
@@ -215,10 +218,14 @@ impl WalWriter {
 
     /// Append one framed record and make it durable (flush + fsync).
     pub fn append(&mut self, payload: &[u8]) -> Result<()> {
-        let mut frame = Vec::with_capacity(RECORD_HEADER + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&checksum(payload).to_le_bytes());
-        frame.extend_from_slice(payload);
+        let len = u32::try_from(payload.len()).map_err(|_| {
+            LakeError::InvalidArgument(format!("WAL record of {} bytes", payload.len()))
+        })?;
+        let mut frame = BytesMut::with_capacity(RECORD_HEADER + payload.len());
+        frame.put_u32_le(len);
+        frame.put_u64_le(checksum(payload));
+        frame.put_slice(payload);
+        let frame = frame.freeze();
         self.file.write_all(&frame)?;
         self.file.sync_data()?;
         self.stats.records += 1;
@@ -240,19 +247,26 @@ impl WalWriter {
     }
 }
 
-fn validate_header(header: &[u8]) -> Result<(u64, u32)> {
-    if &header[..8] != WAL_MAGIC {
+fn get_segment_header(buf: &mut Bytes) -> Result<(u64, u32)> {
+    if get_raw(buf, WAL_MAGIC.len(), "WAL header")?[..] != WAL_MAGIC[..] {
         return Err(LakeError::Corrupt("bad WAL magic".into()));
     }
-    let version = u32::from_le_bytes(header[8..12].try_into().expect("4 bytes"));
+    let version = get_u32(buf, "WAL header")?;
     if version != WAL_VERSION {
         return Err(LakeError::Corrupt(format!(
             "unsupported WAL version {version}"
         )));
     }
-    let generation = u64::from_le_bytes(header[12..20].try_into().expect("8 bytes"));
-    let segment = u32::from_le_bytes(header[20..24].try_into().expect("4 bytes"));
-    Ok((generation, segment))
+    Ok((get_u64(buf, "WAL header")?, get_u32(buf, "WAL header")?))
+}
+
+/// Take one framed record off the front of `buf`: `None` when its header or
+/// payload is short or its checksum does not match (a torn or rotten tail).
+fn get_record(buf: &mut Bytes) -> Option<Bytes> {
+    let len = get_u32(buf, "WAL record").ok()?;
+    let sum = get_u64(buf, "WAL record").ok()?;
+    let payload = get_raw(buf, len as usize, "WAL record").ok()?;
+    (checksum(&payload) == sum).then_some(payload)
 }
 
 /// Everything [`read_records`] recovered from one WAL segment file.
@@ -278,33 +292,16 @@ pub struct WalContents {
 /// *file header* is an error — that is not a torn append but a wrong or
 /// destroyed file.
 pub fn read_records(path: &Path) -> Result<WalContents> {
-    let raw = std::fs::read(path)?;
-    if raw.len() < SEGMENT_HEADER {
-        return Err(LakeError::Corrupt("WAL header too short".into()));
-    }
-    let (generation, segment) = validate_header(&raw[..SEGMENT_HEADER])?;
+    let mut buf = Bytes::from(std::fs::read(path)?);
+    let (generation, segment) = get_segment_header(&mut buf)?;
     let mut records = Vec::new();
-    let mut pos = SEGMENT_HEADER;
     let mut dropped_tail = false;
-    while pos < raw.len() {
-        if raw.len() - pos < RECORD_HEADER {
-            dropped_tail = true; // torn mid-header
+    while buf.remaining() > 0 {
+        let Some(payload) = get_record(&mut buf) else {
+            dropped_tail = true;
             break;
-        }
-        let len = u32::from_le_bytes(raw[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let sum = u64::from_le_bytes(raw[pos + 4..pos + 12].try_into().expect("8 bytes"));
-        let body_start = pos + RECORD_HEADER;
-        if raw.len() - body_start < len {
-            dropped_tail = true; // torn mid-payload
-            break;
-        }
-        let payload = &raw[body_start..body_start + len];
-        if checksum(payload) != sum {
-            dropped_tail = true; // bit rot / torn overwrite
-            break;
-        }
+        };
         records.push(payload.to_vec());
-        pos = body_start + len;
     }
     Ok(WalContents {
         generation,
